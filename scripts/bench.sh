@@ -4,8 +4,7 @@
 # perf config, speedup vs committed baseline, record/cluster counters).
 # Usage: scripts/bench.sh [--smoke] [--seed N] [--scale F] [--output PATH]
 #                         [--workers N] [--tile-size N]
-#                         [--precision float64|float32]
-#                         [--storage dense|condensed]
+#                         [--storage dense|sparse] [--blocking none|url]
 #        scripts/bench.sh --compare [BASELINE] [--tolerance F] [--min-wall S]
 #   --compare re-runs the committed baseline's scenario and exits nonzero on
 #   a >tolerance wall-time regression in any pipeline stage or summary drift.

@@ -15,9 +15,8 @@ guards exclude explicitly-dense branches (``if storage == "dense":``,
 ``if not isinstance(d, SparsePairwise):``); streaming ``tile x n``
 allocations never fire because a tile extent is not ``big``.
 
-This subsumes and strengthens the syntactic ``no-matrix-densify`` rule:
-that rule polices *callers of* ``condensed_to_square`` by name; this pass
-follows the actual allocation wherever a helper hides it.
+The syntactic ``no-matrix-densify`` rule only polices ``.todense()``;
+this pass follows the actual allocation wherever a helper hides it.
 
 Findings are **site-reported** — at the allocation, with the root-to-
 allocation call chain attached — and an inline ``# pushlint:

@@ -2,7 +2,7 @@
 
 Runs the full crawl + PushAdMiner pipeline under a :class:`~repro.obs.PerfClock`
 tracer and writes ``BENCH_pipeline.json``: per-stage wall time, peak matrix
-footprint, the perf configuration (workers / tile size / precision / storage),
+footprint, the perf configuration (workers / tile size / storage / blocking),
 per-stage speedup against the committed baseline, and the record/cluster
 counters each stage reported.  The same seeded run under the default
 :class:`~repro.obs.NullClock` stays bit-identical; this harness is the one
@@ -158,7 +158,6 @@ def run_benchmark(
     *,
     workers: int = 1,
     tile_size: Optional[int] = None,
-    precision: str = "float64",
     storage: str = "dense",
     blocking: str = "none",
     blocking_bound: Optional[float] = None,
@@ -175,8 +174,7 @@ def run_benchmark(
         shard_size=crawl_shard_size,
     )
     overrides: Dict[str, Any] = dict(
-        workers=workers, precision=precision, storage=storage,
-        blocking=blocking,
+        workers=workers, storage=storage, blocking=blocking,
     )
     if blocking_bound is not None:
         overrides["blocking_bound"] = blocking_bound
@@ -196,7 +194,6 @@ def run_benchmark(
         "perf": {
             "workers": miner.config.workers,
             "tile_size": miner.config.tile_size,
-            "precision": miner.config.precision,
             "storage": miner.config.storage,
             "blocking": miner.config.blocking,
             "blocking_bound": miner.config.blocking_bound,
@@ -857,7 +854,6 @@ def _run_compare(args: argparse.Namespace) -> int:
         scale=scale,
         workers=int(perf.get("workers", 1)),
         tile_size=perf.get("tile_size"),
-        precision=str(perf.get("precision", "float64")),
         storage=str(perf.get("storage", "dense")),
         blocking=str(perf.get("blocking", "none")),
         blocking_bound=perf.get("blocking_bound"),
@@ -1070,7 +1066,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "wall vs full re-mine wall (writes "
                              f"{DEFAULT_INCREMENTAL_BASELINE}; fails when "
                              "the ratio crosses "
-                             f"{ABSORB_WALL_CEILING:.0%})")
+                             f"{ABSORB_WALL_CEILING * 100:.0f}%%)")
     parser.add_argument("--batch-fraction", type=float,
                         default=DEFAULT_BATCH_FRACTION,
                         help="held-out append-batch fraction with "
@@ -1088,9 +1084,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              f"{DEFAULT_SHARD_SIZE})")
     parser.add_argument("--tile-size", type=int, default=None,
                         help="kernel row-tile size (default MinerConfig's)")
-    parser.add_argument("--precision", choices=("float64", "float32"),
-                        default="float64", help="distance matrix dtype")
-    parser.add_argument("--storage", choices=("dense", "condensed", "sparse"),
+    parser.add_argument("--storage", choices=("dense", "sparse"),
                         default="dense", help="distance matrix storage "
                              "(sparse requires --blocking url)")
     parser.add_argument("--blocking", choices=("none", "url"),
@@ -1171,7 +1165,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         scale=scale,
         workers=args.workers,
         tile_size=args.tile_size,
-        precision=args.precision,
         storage=args.storage,
         blocking=args.blocking,
         blocking_bound=args.blocking_bound,

@@ -41,7 +41,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for crawl session shards "
                              "(the dataset is byte-identical for any "
                              "count; default 1 = serial)")
-    parser.add_argument("--storage", choices=("dense", "condensed", "sparse"),
+    parser.add_argument("--storage", choices=("dense", "sparse"),
                         default="dense",
                         help="distance matrix storage; sparse avoids the "
                              "O(n^2) matrices via candidate blocking and "

@@ -29,7 +29,6 @@ from repro.perf import (
     PairwiseOperands,
     SparsePairwise,
     component_labels,
-    condensed_to_square,
     cut_silhouette_tile,
 )
 from repro.util.graph import UnionFind
@@ -180,34 +179,19 @@ class AgglomerativeClusterer:
     def fit(self, distances: Union[np.ndarray, SparsePairwise]) -> Linkage:
         """Build the dendrogram from a pairwise distance matrix.
 
-        Accepts a symmetric square matrix, condensed storage
-        (strict-upper-triangle, :mod:`repro.perf.condensed` layout), or a
-        candidate-sparse :class:`~repro.perf.SparsePairwise` graph.  The
-        dense forms work on a fresh float64 square work matrix; the
-        sparse form runs the certified sparse-graph Lance-Williams path
-        (average linkage only) and records its exactness certificate on
-        the returned :class:`Linkage`.
+        Accepts a symmetric square matrix or a candidate-sparse
+        :class:`~repro.perf.SparsePairwise` graph.  The dense form works
+        on a fresh float64 square work matrix; the sparse form runs the
+        certified sparse-graph Lance-Williams path (average linkage only)
+        and records its exactness certificate on the returned
+        :class:`Linkage`.
         """
         if isinstance(distances, SparsePairwise):
             return self._fit_sparse(distances)
-        if distances.ndim == 1:
-            # Condensed storage: m = n(n-1)/2 entries; solve for n. The
-            # expansion is already a fresh float64 square, so it doubles
-            # as the work matrix without another copy.
-            m = distances.size
-            n = int(round((1.0 + np.sqrt(1.0 + 8.0 * m)) / 2.0))
-            if n * (n - 1) // 2 != m:
-                raise ValueError(
-                    f"{m} entries is not a valid condensed matrix size"
-                )
-            work = condensed_to_square(  # pushlint: disable=no-matrix-densify
-                distances, n, dtype=np.float64
-            )
-        elif distances.ndim == 2 and distances.shape[0] == distances.shape[1]:
-            n = distances.shape[0]
-            work = distances.astype(np.float64, copy=True)
-        else:
-            raise ValueError("distance matrix must be square or condensed")
+        if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
+            raise ValueError("distance matrix must be square")
+        n = distances.shape[0]
+        work = distances.astype(np.float64, copy=True)
         if n <= 1:
             return Linkage(n, [])
         np.fill_diagonal(work, np.inf)
@@ -981,7 +965,6 @@ def evaluate_cuts_sparse(
     operands: PairwiseOperands,
     *,
     plan: Optional[ExecutionPlan] = None,
-    dtype: str = "float64",
     candidates: Optional[Sequence[float]] = None,
     max_candidates: int = 24,
     min_cluster_fraction: float = 0.33,
@@ -1114,7 +1097,6 @@ def evaluate_cuts_sparse(
     if digests:
         cut_operands = CutScoringOperands(
             pairwise=operands,
-            dtype=dtype,
             compacts=tuple(d[0] for d in digests),
             orders=tuple(d[1] for d in digests),
             starts=tuple(d[2] for d in digests),

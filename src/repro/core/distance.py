@@ -4,43 +4,45 @@ The pairwise matrices are assembled tile by tile from the blocked kernels
 in :mod:`repro.perf.kernels` under an injectable
 :class:`~repro.perf.ExecutionPlan` (serial by default, process-parallel
 opt-in) — results are bit-identical for any tile size or worker count.
-Dense float64 is the default; ``precision="float32"`` and
-``storage="condensed"`` (strict upper triangle of ``total`` only) are
-opt-in footprint reducers.  ``storage="sparse"`` (paired with
+Dense float64 is the default.  ``storage="sparse"`` (paired with
 ``blocking="url"``) keeps only the entries surviving the blocking
 stage's certified screens — every absent pair provably has total
 distance >= the blocking bound (see :mod:`repro.perf.blocking`) — and
 stores them bitwise equal to the dense kernels' output.
+
+The kernel operands come from :func:`corpus_operands` (a corpus) and
+:func:`query_operands` (a query batch against a corpus); batch mining,
+serving and incremental mining all build them here, so the three agree
+on the URL vocabulary and every row bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.features import WpnFeatures, extract_all
 from repro.core.records import WpnRecord
 from repro.core.textsim import SoftCosineModel
-from repro.core.urlsim import url_membership_operands
+from repro.core.urlsim import url_membership_matrix, url_token_vocabulary
 from repro.perf import (
     DEFAULT_SPARSE_BOUND,
     BlockingStats,
     ExecutionPlan,
     PairwiseOperands,
+    QueryOperands,
     SparsePairwise,
     candidate_distance_tile,
     combined_distance_tile,
     component_labels,
-    condensed_size,
-    condensed_to_square,
     prune_cross_component,
 )
 
-PRECISIONS = ("float64", "float32")
-STORAGES = ("dense", "condensed", "sparse")
+STORAGES = ("dense", "sparse")
 BLOCKINGS = ("none", "url")
 
 Matrix = Union[np.ndarray, SparsePairwise]
@@ -51,18 +53,15 @@ class DistanceMatrices:
     """The pairwise matrices the clustering stage consumes.
 
     In the default dense storage, ``text``, ``url``, and ``total`` are all
-    square. In condensed storage only ``total`` is kept, as the strict
-    upper triangle (row-major, :mod:`repro.perf.condensed` layout) — pass
-    ``n`` to size it; ``text`` and ``url`` are ``None``. In sparse
-    storage all three are :class:`~repro.perf.SparsePairwise` holding
+    square float64 matrices. In sparse storage all three are
+    :class:`~repro.perf.SparsePairwise` holding
     only the blocking stage's certified entries (absent pairs provably
     have total >= the blocking bound), sharing one index structure.
     """
 
-    text: Optional[Matrix]
-    url: Optional[Matrix]
+    text: Matrix
+    url: Matrix
     total: Matrix
-    n: Optional[int] = None
     #: Sparse storage only: the kernel operands the matrices were computed
     #: from, retained so downstream stages (cut scoring) can recompute any
     #: full distance tile bit-identically instead of densifying.
@@ -71,64 +70,39 @@ class DistanceMatrices:
     blocking_stats: Optional[BlockingStats] = None
 
     def __post_init__(self):
-        if isinstance(self.total, SparsePairwise):
-            if self.n is None:
-                self.n = self.total.n
-            elif self.n != self.total.n:
-                raise ValueError("n does not match the sparse matrix")
-            for name in ("text", "url"):
-                matrix = getattr(self, name)
-                if matrix is not None and not (
-                    isinstance(matrix, SparsePairwise)
-                    and matrix.n == self.n
-                ):
-                    raise ValueError(
-                        f"{name} must be a SparsePairwise over n={self.n}"
-                    )
-            return
-        if self.total.ndim == 2:
-            if self.total.shape[0] != self.total.shape[1]:
-                raise ValueError("total distance matrix must be square")
-            if self.n is None:
-                self.n = self.total.shape[0]
-            elif self.n != self.total.shape[0]:
-                raise ValueError("n does not match the total matrix shape")
-        elif self.total.ndim == 1:
-            if self.n is None:
-                raise ValueError("condensed storage requires an explicit n")
-            if self.total.size != condensed_size(self.n):
-                raise ValueError(
-                    f"condensed total for n={self.n} needs "
-                    f"{condensed_size(self.n)} entries, got {self.total.size}"
-                )
-        else:
-            raise ValueError("total must be a square matrix or condensed 1-D")
+        total = self.total
+        if not isinstance(total, SparsePairwise) and (
+            total.ndim != 2 or total.shape[0] != total.shape[1]
+        ):
+            raise ValueError("total distance matrix must be square")
+        n = self.size
         for name in ("text", "url"):
             matrix = getattr(self, name)
-            if matrix is None:
-                continue
-            if matrix.ndim != 2 or matrix.shape != (self.n, self.n):
-                raise ValueError(f"{name} distance matrix must be square")
+            if isinstance(total, SparsePairwise):
+                ok = isinstance(matrix, SparsePairwise) and matrix.n == n
+            else:
+                ok = isinstance(matrix, np.ndarray) and matrix.shape == (n, n)
+            if not ok:
+                raise ValueError(
+                    f"{name} must be stored like total, over n={n}"
+                )
 
     @property
     def size(self) -> int:
-        assert self.n is not None  # __post_init__ always resolves it
-        return self.n
+        if isinstance(self.total, SparsePairwise):
+            return self.total.n
+        return self.total.shape[0]
 
     @property
     def storage(self) -> str:
-        """``"dense"``, ``"condensed"``, or ``"sparse"`` from ``total``."""
-        if isinstance(self.total, SparsePairwise):
-            return "sparse"
-        return "condensed" if self.total.ndim == 1 else "dense"
+        """``"dense"`` or ``"sparse"`` from ``total``."""
+        return "sparse" if isinstance(self.total, SparsePairwise) else "dense"
 
     @property
     def component_bytes(self) -> int:
         """Bytes held by every materialized matrix (text + url + total)."""
         total = 0
         for m in (self.text, self.url, self.total):
-            if m is None:
-                continue
             if isinstance(m, SparsePairwise):
                 # The three sparse components share one index structure;
                 # count it once (on total) and the values everywhere.
@@ -139,11 +113,10 @@ class DistanceMatrices:
                 total += int(m.nbytes)
         return total
 
-    def total_square(self, dtype: Optional[np.dtype] = None) -> np.ndarray:
+    def total_square(self) -> np.ndarray:
         """The combined distance as a square matrix.
 
-        Dense storage returns ``total`` as-is (no copy) unless a different
-        ``dtype`` is requested; condensed storage expands.  Sparse storage
+        Dense storage returns ``total`` as-is (no copy).  Sparse storage
         refuses: non-candidate entries are unknown (only bounded below),
         so there is no dense matrix to return — oracle code that really
         wants the candidate picture uses ``total.to_square(...)``.
@@ -154,15 +127,110 @@ class DistanceMatrices:
                 "unknown (>= the blocking bound); use the sparse-aware "
                 "sweeps, or SparsePairwise.to_square(fill) in oracle code"
             )
-        if self.total.ndim == 2:
-            if dtype is None or self.total.dtype == np.dtype(dtype):
-                return self.total
-            return self.total.astype(dtype)
-        # Sanctioned dense materialization: this method IS the explicit
-        # densify API.
-        return condensed_to_square(  # pushlint: disable=no-matrix-densify
-            self.total, self.size, dtype=dtype
-        )
+        return self.total
+
+
+def corpus_operands(
+    model: SoftCosineModel,
+    text_tokens: Sequence[Sequence[str]],
+    url_tokens: Sequence[Iterable[str]],
+) -> Tuple[PairwiseOperands, Dict[str, int]]:
+    """``(operands, url_vocabulary)`` of a corpus under a fitted model.
+
+    The URL vocabulary is first-seen order over each row's *sorted*
+    tokens, so it (and every sparse product over it) is the same in any
+    process — ``frozenset`` iteration order is hash-randomized.  Each
+    ``url_tokens`` row must hold distinct tokens.
+    """
+    bow_normed, doc_emb, zero_rows = model.corpus_operands(text_tokens)
+    url_lists = [sorted(tokens) for tokens in url_tokens]
+    vocabulary = url_token_vocabulary(url_lists)
+    member = url_membership_matrix(url_lists, vocabulary)
+    sizes = np.asarray(member.sum(axis=1)).ravel()
+    operands = PairwiseOperands(
+        bow_normed=bow_normed,
+        doc_emb=doc_emb,
+        zero_rows=zero_rows,
+        blend=model.blend,
+        url_member=member,
+        url_sizes=sizes,
+        url_empty=sizes == 0,
+    )
+    return operands, vocabulary
+
+
+def query_operands(
+    model: SoftCosineModel,
+    corpus: PairwiseOperands,
+    url_vocabulary: Dict[str, int],
+    text_tokens: Sequence[Sequence[str]],
+    url_tokens: Sequence[Iterable[str]],
+) -> QueryOperands:
+    """Operands of a query batch against a :func:`corpus_operands` corpus.
+
+    Query URL tokens are projected onto the corpus vocabulary (a token
+    outside it can never intersect a corpus row) but still count in the
+    query's true set size, so the Jaccard union stays exact.
+    """
+    q_bow, q_emb, q_zero = model.corpus_operands(text_tokens)
+    url_lists = [sorted(tokens) for tokens in url_tokens]
+    q_sizes = np.asarray(
+        [len(tokens) for tokens in url_lists], dtype=np.float64
+    )
+    return QueryOperands(
+        corpus=corpus,
+        q_bow_normed=q_bow,
+        q_doc_emb=q_emb,
+        q_zero_rows=q_zero,
+        q_url_member=url_membership_matrix(url_lists, url_vocabulary),
+        q_url_sizes=q_sizes,
+        q_url_empty=q_sizes == 0,
+    )
+
+
+def extend_corpus_operands(
+    query: QueryOperands,
+    url_vocabulary: Dict[str, int],
+    url_tokens: Sequence[Iterable[str]],
+) -> PairwiseOperands:
+    """The query's corpus with the query rows appended to it.
+
+    ``url_vocabulary`` is extended in place, first-seen over the sorted
+    query tokens, so existing columns never move.  Every operand row is
+    row-independent, so the result is bitwise what
+    :func:`corpus_operands` builds over the union with the same model.
+    """
+    old = query.corpus
+    url_lists = [sorted(tokens) for tokens in url_tokens]
+    for tokens in url_lists:
+        for token in tokens:
+            if token not in url_vocabulary:
+                url_vocabulary[token] = len(url_vocabulary)
+    # Widen the existing membership to the extended vocabulary (a pure
+    # shape change: no stored entry moves), then stack the query rows
+    # projected onto the same vocabulary.
+    padded = sparse.csr_matrix(
+        (old.url_member.data, old.url_member.indices, old.url_member.indptr),
+        shape=(old.url_member.shape[0], len(url_vocabulary)),
+    )
+    member = sparse.vstack(
+        [padded, url_membership_matrix(url_lists, url_vocabulary)],
+        format="csr",
+    )
+    # Every query token is in the vocabulary now, so the true query set
+    # sizes are exactly the new membership row sums.
+    sizes = np.concatenate([old.url_sizes, query.q_url_sizes])
+    return PairwiseOperands(
+        bow_normed=sparse.vstack(
+            [old.bow_normed, query.q_bow_normed], format="csr"
+        ),
+        doc_emb=np.concatenate([old.doc_emb, query.q_doc_emb]),
+        zero_rows=np.concatenate([old.zero_rows, query.q_zero_rows]),
+        blend=old.blend,
+        url_member=member,
+        url_sizes=sizes,
+        url_empty=sizes == 0,
+    )
 
 
 def compute_distances(
@@ -171,7 +239,6 @@ def compute_distances(
     text_model: Optional[SoftCosineModel] = None,
     *,
     plan: Optional[ExecutionPlan] = None,
-    precision: str = "float64",
     storage: str = "dense",
     blocking: str = "none",
     blocking_bound: float = DEFAULT_SPARSE_BOUND,
@@ -188,16 +255,12 @@ def compute_distances(
 
     ``plan`` controls tiling and parallelism (serial,
     :data:`~repro.perf.DEFAULT_TILE_SIZE` tiles by default); any plan
-    yields bit-identical matrices. Every tile is computed in float64;
-    ``precision="float32"`` casts on store. ``storage="condensed"`` keeps
-    only the upper triangle of ``total`` (``text``/``url`` are ``None``).
+    yields bit-identical float64 matrices.
     ``storage="sparse"`` requires ``blocking="url"`` (and vice versa):
     only the entries surviving the blocking stage's certified screens are
     materialized, bitwise equal to the dense entries, with every absent
     pair certified >= ``blocking_bound``.
     """
-    if precision not in PRECISIONS:
-        raise ValueError(f"precision must be one of {PRECISIONS}, got {precision!r}")
     if storage not in STORAGES:
         raise ValueError(f"storage must be one of {STORAGES}, got {storage!r}")
     if blocking not in BLOCKINGS:
@@ -222,23 +285,12 @@ def compute_distances(
     if not model.is_fitted:
         model = model.clone().fit(corpus)
 
-    bow_normed, doc_emb, zero_rows = model.corpus_operands(corpus)
-    member, sizes, empty = url_membership_operands(
-        [f.url_tokens for f in features]
-    )
-    operands = PairwiseOperands(
-        bow_normed=bow_normed,
-        doc_emb=doc_emb,
-        zero_rows=zero_rows,
-        blend=model.blend,
-        url_member=member,
-        url_sizes=sizes,
-        url_empty=empty,
+    operands, _ = corpus_operands(
+        model, corpus, [f.url_tokens for f in features]
     )
 
     plan = plan if plan is not None else ExecutionPlan()
     n = len(records)
-    dtype = np.float64 if precision == "float64" else np.float32
     tiles = plan.tiles(n)
 
     if storage == "sparse":
@@ -265,9 +317,9 @@ def compute_distances(
         )
         text_data = np.concatenate(text_parts)
         url_data = np.concatenate(url_parts)
-        # Assemble exactly as the dense branch does: float64 mean of the
-        # channels, then one cast on store.
-        total_data = ((text_data + url_data) / 2.0).astype(dtype)
+        # Assemble exactly as the dense branch does: the mean of the
+        # channels.
+        total_data = (text_data + url_data) / 2.0
         candidate = SparsePairwise(
             n, indptr, indices, total_data, bound=blocking_bound
         )
@@ -289,43 +341,29 @@ def compute_distances(
         kept_indices = indices[keep]
         return DistanceMatrices(
             text=SparsePairwise(
-                n, kept_indptr, kept_indices, text_data[keep].astype(dtype),
+                n, kept_indptr, kept_indices, text_data[keep],
                 bound=blocking_bound,
             ),
             url=SparsePairwise(
-                n, kept_indptr, kept_indices, url_data[keep].astype(dtype),
+                n, kept_indptr, kept_indices, url_data[keep],
                 bound=blocking_bound,
             ),
             total=SparsePairwise(
                 n, kept_indptr, kept_indices, total_data[keep],
                 bound=blocking_bound,
             ),
-            n=n,
             operands=operands,
             blocking_stats=stats,
         )
 
-    results = plan.stream(combined_distance_tile, operands, tiles)
-
-    if storage == "dense":
-        text_out = np.empty((n, n), dtype=dtype)
-        url_out = np.empty((n, n), dtype=dtype)
-        total_out = np.empty((n, n), dtype=dtype)
-        for tile, (text_rows, url_rows) in zip(tiles, results):
-            span = slice(tile.start, tile.stop)
-            text_out[span] = text_rows
-            url_out[span] = url_rows
-            total_out[span] = (text_rows + url_rows) / 2.0
-        return DistanceMatrices(text=text_out, url=url_out, total=total_out)
-
-    condensed = np.empty(condensed_size(n), dtype=dtype)
-    offset = 0
-    for tile, (text_rows, url_rows) in zip(tiles, results):
-        total_rows = (text_rows + url_rows) / 2.0
-        for i in range(tile.start, tile.stop):
-            length = n - i - 1
-            condensed[offset : offset + length] = total_rows[
-                i - tile.start, i + 1 :
-            ]
-            offset += length
-    return DistanceMatrices(text=None, url=None, total=condensed, n=n)
+    text_out = np.empty((n, n))
+    url_out = np.empty((n, n))
+    total_out = np.empty((n, n))
+    for tile, (text_rows, url_rows) in zip(
+        tiles, plan.stream(combined_distance_tile, operands, tiles)
+    ):
+        span = slice(tile.start, tile.stop)
+        text_out[span] = text_rows
+        url_out[span] = url_rows
+        total_out[span] = (text_rows + url_rows) / 2.0
+    return DistanceMatrices(text=text_out, url=url_out, total=total_out)

@@ -47,7 +47,6 @@ from repro.core.clustering import (
 )
 from repro.core.distance import (
     BLOCKINGS,
-    PRECISIONS,
     STORAGES,
     DistanceMatrices,
     compute_distances,
@@ -270,12 +269,11 @@ class MinerConfig:
     :meth:`from_scenario` derives them from a
     :class:`~repro.webenv.scenario.ScenarioConfig` instead.
 
-    The performance knobs (``tile_size``, ``workers``, ``precision``,
-    ``storage``) select how the pairwise-distance stage executes without
-    changing *what* it computes: any tile size or worker count yields
-    bit-identical matrices, while ``precision="float32"`` /
-    ``storage="condensed"`` trade exactness for footprint (see
-    ``docs/PERFORMANCE.md``). ``blocking="url"`` + ``storage="sparse"``
+    The performance knobs (``tile_size``, ``workers``, ``storage``)
+    select how the pairwise-distance stage executes without changing
+    *what* it computes: any tile size or worker count yields
+    bit-identical matrices (see ``docs/PERFORMANCE.md``).
+    ``blocking="url"`` + ``storage="sparse"``
     (the two imply each other) route the distance, linkage, and cut
     stages through the exactness-certified candidate graph of
     :mod:`repro.perf.blocking` — same merge sequence, threshold, and
@@ -299,7 +297,6 @@ class MinerConfig:
     tile_size: int = DEFAULT_TILE_SIZE
     workers: int = 1
     crawl_workers: int = 1
-    precision: str = "float64"
     storage: str = "dense"
     blocking: str = "none"
     blocking_bound: float = DEFAULT_SPARSE_BOUND
@@ -320,10 +317,6 @@ class MinerConfig:
             raise ValueError("workers must be >= 1")
         if self.crawl_workers < 1:
             raise ValueError("crawl_workers must be >= 1")
-        if self.precision not in PRECISIONS:
-            raise ValueError(
-                f"precision must be one of {PRECISIONS}, got {self.precision!r}"
-            )
         if self.storage not in STORAGES:
             raise ValueError(
                 f"storage must be one of {STORAGES}, got {self.storage!r}"
@@ -487,7 +480,7 @@ class PushAdMiner:
 
         Executed by the blocked kernels under this miner's
         :class:`~repro.perf.ExecutionPlan` (``tile_size`` / ``workers`` /
-        ``precision`` / ``storage`` config knobs).
+        ``storage`` config knobs).
         """
         with self.tracer.span("pipeline.distances") as span:
             cfg = self.config
@@ -498,7 +491,6 @@ class PushAdMiner:
                     features=features,
                     text_model=text_model if text_model is not None else self.text_model,
                     plan=plan,
-                    precision=cfg.precision,
                     storage=cfg.storage,
                     blocking=cfg.blocking,
                     blocking_bound=cfg.blocking_bound,
@@ -520,8 +512,6 @@ class PushAdMiner:
             span.gauge("tiles", len(plan.tiles(len(records))))
             span.gauge("tile_size", plan.tile_size)
             span.gauge("workers", plan.workers)
-            span.gauge("precision_bits", 32 if cfg.precision == "float32" else 64)
-            span.gauge("condensed", int(cfg.storage == "condensed"))
             if mem.peak_bytes is not None:
                 span.gauge("peak_bytes", mem.peak_bytes)
             return distances
@@ -543,7 +533,7 @@ class PushAdMiner:
                 span.gauge("exact_merges", linkage.exact_merges)
             else:
                 # fit() works on a float64 square copy of the distance
-                # matrix (expanded in place when the input is condensed).
+                # matrix.
                 span.gauge("work_bytes", int(distances.size ** 2 * 8))
             if mem.peak_bytes is not None:
                 span.gauge("peak_bytes", mem.peak_bytes)
@@ -574,7 +564,6 @@ class PushAdMiner:
                     linkage,
                     distances.operands,
                     plan=plan,
-                    dtype=cfg.precision,
                     candidates=[fixed] if fixed is not None else None,
                 )
                 span.gauge("matrix_bytes", distances.component_bytes)

@@ -10,8 +10,6 @@ O(n^2) stages on:
 * :mod:`repro.perf.kernels` — blocked pairwise kernels: soft-cosine text
   similarity and URL-token Jaccard computed in row tiles, with every
   floating-point operation tile-size invariant;
-* :mod:`repro.perf.condensed` — condensed (upper-triangular) storage for
-  symmetric zero-diagonal distance matrices;
 * :mod:`repro.perf.blocking` — exactness-preserving candidate blocking:
   an inverted URL-token index emitting candidate pairs in canonical
   (i, j) order with a provable no-missed-pair bound (certified screens
@@ -20,10 +18,11 @@ O(n^2) stages on:
   are bitwise equal to the dense kernels', and a streaming cut-scoring
   kernel that reproduces the dense silhouette bit for bit in
   O(tile * n) memory;
-* :mod:`repro.perf.delta` — blocked query-vs-corpus delta kernels for
-  incremental mining: candidate-blocked per-query nearest-row search
-  whose assignment decisions below the certification bound match the
-  dense query kernels bit for bit.
+* :mod:`repro.perf.delta` — nearest-corpus-row search, the one
+  implementation of nearest-campaign assignment behind serving and
+  incremental mining: a dense query-vs-corpus argmin, or a
+  candidate-blocked search whose decisions below the certification bound
+  match the dense one bit for bit.
 
 The package sits below :mod:`repro.core` in the layering DAG: kernels only
 see numpy arrays and scipy sparse matrices, never records or models.
@@ -45,11 +44,6 @@ from repro.perf.delta import (
     QueryNearest,
     nearest_corpus_rows,
     query_candidate_min_tile,
-)
-from repro.perf.condensed import (
-    condensed_size,
-    condensed_to_square,
-    square_to_condensed,
 )
 from repro.perf.kernels import (
     PairwiseOperands,
@@ -80,8 +74,6 @@ __all__ = [
     "candidate_pairs_tile",
     "combined_distance_tile",
     "component_labels",
-    "condensed_size",
-    "condensed_to_square",
     "cut_silhouette_tile",
     "jaccard_distance_tile",
     "nearest_corpus_rows",
@@ -92,6 +84,5 @@ __all__ = [
     "query_text_distance_tile",
     "row_tiles",
     "soft_cosine_similarity_tile",
-    "square_to_condensed",
     "text_distance_tile",
 ]

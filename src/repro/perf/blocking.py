@@ -91,8 +91,8 @@ class BlockingExactnessError(RuntimeError):
     Raised when the candidate graph does not carry enough information to
     prove that a result (a linkage merge, a cut threshold, a quantile
     candidate) would come out bitwise equal to the dense path.  The caller
-    should fall back to ``storage="dense"``/``"condensed"`` rather than
-    silently produce approximate output.
+    should fall back to ``storage="dense"`` rather than silently produce
+    approximate output.
     """
 
 
@@ -112,7 +112,7 @@ class SparsePairwise:
     n: int
     indptr: np.ndarray   # int64, (n + 1,)
     indices: np.ndarray  # int64, (nnz,) ascending within each row
-    data: np.ndarray     # float64/float32, (nnz,)
+    data: np.ndarray     # float64, (nnz,)
     bound: float = 0.5
 
     def __post_init__(self) -> None:
@@ -171,8 +171,7 @@ class SparsePairwise:
         """Dense float64 square with absent pairs set to ``fill_value``.
 
         Oracle/test helper only — it materializes the O(n^2) matrix the
-        sparse path exists to avoid (the ``no-matrix-densify`` pushlint
-        rule polices production callers of the dense expansion).
+        sparse path exists to avoid.
         """
         # Sanctioned oracle densification (see docstring): deliberate
         # O(n^2), never on the production sparse path.
@@ -452,16 +451,13 @@ class CutScoringOperands:
     labels: ``compact`` (labels remapped to 0..k-1 via ``np.unique``),
     ``order`` (stable argsort of ``compact`` — the cluster-contiguous
     column permutation), ``starts`` (each cluster's first position in
-    that order), and ``counts`` (cluster sizes, float64).  ``dtype`` is
-    the storage dtype the distance stage would have used, so the
-    recomputed rows are cast exactly as the dense assembly casts.
+    that order), and ``counts`` (cluster sizes, float64).
 
     Plain arrays only: the payload crosses process boundaries under the
     parallel execution plan.
     """
 
     pairwise: PairwiseOperands
-    dtype: str
     compacts: Tuple[np.ndarray, ...]
     orders: Tuple[np.ndarray, ...]
     starts: Tuple[np.ndarray, ...]
@@ -484,7 +480,7 @@ def cut_silhouette_tile(
     Returns an array of shape ``(n_candidates, tile.size)``.
     """
     text_rows, url_rows = combined_distance_tile(operands.pairwise, tile)
-    total = ((text_rows + url_rows) / 2.0).astype(np.dtype(operands.dtype))
+    total = (text_rows + url_rows) / 2.0
     local = np.arange(tile.size)
     out = np.empty((len(operands.compacts), tile.size), dtype=np.float64)
     for c, (compact, order, starts, counts) in enumerate(

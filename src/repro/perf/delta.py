@@ -1,28 +1,34 @@
-"""Query-vs-corpus delta kernels for incremental mining.
+"""Nearest-corpus-row search: the one nearest-campaign assignment path.
 
-The incremental miner assigns each record of a new batch to its nearest
-*existing* corpus row iff the combined distance clears the snapshot's cut
-threshold.  The dense path streams
-:func:`~repro.perf.kernels.query_distance_tile` and takes a global
-argmin; this module is the blocked equivalent — the same inverted-URL-
-token-index candidate enumeration and certified screens as
-:func:`~repro.perf.blocking.candidate_distance_tile`, applied to the
-``(query, corpus)`` rectangle instead of the pairwise triangle.
+Serving (``ServeCore.classify``) and incremental mining
+(``IncrementalMiner.absorb``) both ask the same question of a query
+batch: which existing corpus row is nearest under the exact combined
+distance (ties to the lowest index), and is it within the frozen cut
+threshold?  :func:`nearest_corpus_rows` answers it two ways:
 
-The exactness argument carries over unchanged: a query/corpus pair
-sharing no URL token (and not both URL-empty) has ``total = (text + 1)/2
->= 0.5``, and both screens certify every dropped candidate ``total >=
-bound``.  So for any assignment threshold **strictly below** ``bound``,
+* ``bound=None`` — the dense search: stream
+  :func:`~repro.perf.kernels.query_distance_tile` over the corpus and take
+  each query's row argmin.  Every query gets its exact nearest distance,
+  however far.
+* a ``bound`` — the blocked search: the same inverted-URL-token-index
+  candidate enumeration and certified screens as
+  :func:`~repro.perf.blocking.candidate_distance_tile`, applied to the
+  ``(query, corpus)`` rectangle instead of the pairwise triangle.
+
+The blocked exactness argument carries over unchanged: a query/corpus
+pair sharing no URL token (and not both URL-empty) has ``total = (text +
+1)/2 >= 0.5``, and both screens certify every dropped candidate ``total
+>= bound``.  So for any assignment threshold **strictly below** ``bound``,
 the blocked per-query minimum decides *assign vs. open* — and picks the
-same lowest-index nearest column — exactly as the dense kernel would:
+same lowest-index nearest column — exactly as the dense search would:
 every entry the blocked path scores reproduces the dense kernel's scalar
-operation sequence bit for bit, and every entry it skips is certified
-too far to matter.  Callers must enforce ``threshold < bound``
+operation sequence bit for bit, and every entry it skips is certified too
+far to matter.  Callers must enforce ``threshold < bound``
 (``repro.incremental`` refuses with ``IncrementalDriftError`` otherwise);
-``tests/perf/test_delta.py`` pins the agreement against the dense oracle.
+``tests/perf/test_delta.py`` pins the agreement against the dense search.
 
 Tiling runs over corpus rows, exactly like the other query kernels, so
-the per-tile minima reduce deterministically in tile order under any
+the per-tile results reduce deterministically in tile order under any
 :class:`~repro.perf.plan.ExecutionPlan`.
 """
 
@@ -30,32 +36,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.perf.blocking import DEFAULT_SPARSE_BOUND, _SCREEN_MARGIN, _SOFT_CHUNK
-from repro.perf.kernels import QueryOperands
+from repro.perf.kernels import QueryOperands, query_distance_tile
 from repro.perf.plan import ExecutionPlan, Tile
 
 
 @dataclass(frozen=True)
 class QueryNearest:
-    """Per-query nearest-corpus-row result of one blocked delta pass.
+    """Per-query result of one :func:`nearest_corpus_rows` search.
 
     ``distances[i]`` is the exact combined distance from query ``i`` to
-    its nearest corpus row *among the scored candidates* (``inf`` when no
-    candidate survived — every corpus row is then certified ``>=
-    bound``); ``columns[i]`` is that row's index, ties broken to the
-    lowest index, ``-1`` when no candidate survived.  For any assignment
-    threshold below ``bound`` this is indistinguishable from the dense
-    per-query argmin.  ``n_candidates`` / ``n_scored`` count the raw
-    enumerated and screen-surviving query/corpus pairs for gauges.
+    its nearest corpus row and ``columns[i]`` that row's index, ties
+    broken to the lowest index.  The blocked search (``bound`` set) only
+    looks among the scored candidates: ``inf`` / ``-1`` mark a query with
+    no surviving candidate — every corpus row is then certified ``>=
+    bound`` — and for any assignment threshold below ``bound`` the result
+    is indistinguishable from the dense search (``bound`` ``None``).
+    ``n_candidates`` / ``n_scored`` count the raw enumerated and
+    screen-surviving query/corpus pairs of the blocked search for gauges
+    (both 0 for the dense search).
     """
 
     distances: np.ndarray  # (q,) float64
     columns: np.ndarray    # (q,) int64
-    bound: float
+    bound: Optional[float]
     n_candidates: int
     n_scored: int
 
@@ -190,19 +198,33 @@ def query_candidate_min_tile(
 def nearest_corpus_rows(
     operands: QueryOperands,
     plan: ExecutionPlan,
-    bound: float = DEFAULT_SPARSE_BOUND,
+    bound: Optional[float] = None,
 ) -> QueryNearest:
-    """Blocked nearest-corpus-row search for every query.
+    """Nearest corpus row for every query, dense or blocked.
 
-    Streams :func:`query_candidate_min_tile` over the plan's corpus
-    tiles and reduces the per-tile minima in tile order with a strict
-    ``<`` — so cross-tile ties resolve to the earlier tile, i.e. the
-    lowest corpus column, matching the dense ``np.argmin`` convention.
-    Bit-identical for any tile size or worker count.
+    ``bound=None`` streams :func:`~repro.perf.kernels.query_distance_tile`
+    over the plan's corpus tiles and takes each query's row argmin
+    (``np.argmin``: ties to the lowest column).  With a ``bound`` it
+    streams :func:`query_candidate_min_tile` instead and reduces the
+    per-tile minima in tile order with a strict ``<`` — so cross-tile ties
+    resolve to the earlier tile, i.e. the lowest corpus column, matching
+    the dense convention.  Bit-identical for any tile size or worker
+    count.
     """
     n = operands.corpus.n
-    kernel = partial(query_candidate_min_tile, bound=bound)
     q = operands.n_queries
+    if bound is None:
+        blocks = plan.run(query_distance_tile, operands, plan.tiles(n))
+        distances = np.concatenate(blocks, axis=1)
+        columns = distances.argmin(axis=1).astype(np.int64)
+        return QueryNearest(
+            distances=distances[np.arange(q), columns],
+            columns=columns,
+            bound=None,
+            n_candidates=0,
+            n_scored=0,
+        )
+    kernel = partial(query_candidate_min_tile, bound=bound)
     best = np.full(q, np.inf, dtype=np.float64)
     best_cols = np.full(q, -1, dtype=np.int64)
     n_candidates = 0

@@ -21,7 +21,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.serve.core import ServeCore, UnknownCampaignError
+from repro.serve.core import InvalidQueryError, ServeCore, UnknownCampaignError
 from repro.serve.snapshot import MinedSnapshot, SnapshotError, canonical_json
 from repro.serve.wsgi import serve_forever
 
@@ -83,13 +83,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "check":
         response = core.check(args.url)
     elif args.command == "classify":
-        response = core.classify(
-            {
-                "title": args.title,
-                "body": args.body,
-                "landing_url": args.landing_url,
-            }
-        )
+        try:
+            response = core.classify(
+                {
+                    "title": args.title,
+                    "body": args.body,
+                    "landing_url": args.landing_url,
+                }
+            )
+        except InvalidQueryError as exc:
+            print(f"repro.serve: invalid classify input: {exc}",
+                  file=sys.stderr)
+            return 2
     elif args.command == "campaign":
         try:
             response = core.campaign(args.cluster_id)

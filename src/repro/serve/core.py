@@ -15,12 +15,13 @@ needs (section 7 discussion / ROADMAP item 2), entirely from a
 * :meth:`stats` — snapshot-wide headline numbers and provenance.
 
 Determinism contract: responses are pure functions of ``(snapshot bytes,
-canonical query)``.  Batched classification streams the
-:func:`~repro.perf.kernels.query_distance_tile` kernel over an
+canonical query)``.  Batched classification runs the dense
+:func:`~repro.perf.delta.nearest_corpus_rows` search over an
 :class:`~repro.perf.plan.ExecutionPlan`, so any worker count or tile size
-yields bit-identical distances; the URL vocabulary is rebuilt from the
-snapshot's *sorted* token lists, so it is stable across processes; nearest
-ties break to the lowest corpus index (``np.argmin``); every response is
+yields bit-identical distances; the operands come from
+:func:`~repro.core.distance.corpus_operands`, whose URL vocabulary is
+stable across processes; nearest ties break to the lowest corpus index
+(the same search incremental mining assigns with); every response is
 canonical-JSON round-tripped before it is returned, so cached (string
 replay) and uncached (fresh compute) answers are the same bytes.
 
@@ -50,16 +51,14 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
+from repro.core.distance import corpus_operands, query_operands
 from repro.core.textsim import SoftCosineModel
-from repro.core.urlsim import url_membership_matrix, url_token_vocabulary
 from repro.obs import Span, Tracer
 from repro.perf import (
     ExecutionPlan,
     PairwiseOperands,
-    QueryOperands,
-    query_distance_tile,
+    QueryNearest,
+    nearest_corpus_rows,
 )
 from repro.serve.cache import DEFAULT_CACHE_SIZE, ResponseCache, response_cache_key
 from repro.serve.snapshot import MinedSnapshot, canonical_json
@@ -73,6 +72,15 @@ RESPONSE_SCHEMA = "repro-serve/1"
 
 class UnknownCampaignError(KeyError):
     """:meth:`ServeCore.campaign` was asked about an id not in the snapshot."""
+
+
+class InvalidQueryError(ValueError):
+    """A :meth:`ServeCore.classify` input is malformed.
+
+    Raised for a non-string title or body and for a landing URL that is
+    not an absolute URL string; the WSGI app answers it with ``400`` and
+    ``python -m repro.serve classify`` exits 2.
+    """
 
 
 @dataclass(frozen=True)
@@ -97,22 +105,10 @@ def _build_state(snapshot: MinedSnapshot) -> ServingState:
     """Derive the immutable serving state from one snapshot."""
     model = snapshot.restore_text_model()
     records = snapshot.records
-    texts = [list(row["text_tokens"]) for row in records]
-    bow_normed, doc_emb, zero_rows = model.corpus_operands(texts)
-    url_lists = [list(row["url_tokens"]) for row in records]
-    # Token lists are stored sorted, so first-seen vocabulary order —
-    # and therefore every downstream sparse product — is process-stable.
-    url_vocabulary = url_token_vocabulary(url_lists)
-    member = url_membership_matrix(url_lists, url_vocabulary)
-    sizes = np.asarray(member.sum(axis=1)).ravel()
-    corpus = PairwiseOperands(
-        bow_normed=bow_normed,
-        doc_emb=doc_emb,
-        zero_rows=zero_rows,
-        blend=model.blend,
-        url_member=member,
-        url_sizes=sizes,
-        url_empty=sizes == 0,
+    corpus, url_vocabulary = corpus_operands(
+        model,
+        [row["text_tokens"] for row in records],
+        [row["url_tokens"] for row in records],
     )
     return ServingState(
         snapshot=snapshot,
@@ -318,52 +314,37 @@ class ServeCore:
                 else:
                     pending.append((i, key, query))
             if pending:
-                distances = self._query_distances(
-                    state, [q for _, _, q in pending]
-                )
-                for row, (i, key, query) in zip(distances, pending):
+                found = self._nearest(state, [q for _, _, q in pending])
+                for j, (i, key, _) in enumerate(pending):
                     responses[i] = self._cache_store(
-                        key, self._classify_one(state, query, row)
+                        key, self._classify_one(state, found, j)
                     )
             self._mark_span(span, len(queries), hits)
             return [r for r in responses if r is not None]
 
-    def _query_distances(
+    def _nearest(
         self, state: ServingState, queries: Sequence[Dict[str, Any]]
-    ) -> np.ndarray:
-        """``(q, n)`` combined distances, queries vs the snapshot corpus."""
-        texts = [q["text_tokens"] for q in queries]
-        q_bow, q_emb, q_zero = state.model.corpus_operands(texts)
-        url_lists = [q["url_tokens"] for q in queries]
-        q_member = url_membership_matrix(url_lists, state.url_vocabulary)
-        q_sizes = np.asarray(
-            [len(tokens) for tokens in url_lists], dtype=np.float64
+    ) -> QueryNearest:
+        """Exact nearest snapshot record per query (dense search).
+
+        Dense rather than blocked because a response reports the nearest
+        distance even when it is above the cut.
+        """
+        operands = query_operands(
+            state.model,
+            state.corpus,
+            state.url_vocabulary,
+            [q["text_tokens"] for q in queries],
+            [q["url_tokens"] for q in queries],
         )
-        operands = QueryOperands(
-            corpus=state.corpus,
-            q_bow_normed=q_bow,
-            q_doc_emb=q_emb,
-            q_zero_rows=q_zero,
-            q_url_member=q_member,
-            q_url_sizes=q_sizes,
-            q_url_empty=q_sizes == 0,
-        )
-        n = state.corpus.n
-        blocks = self._plan.run(
-            query_distance_tile, operands, self._plan.tiles(n)
-        )
-        return np.concatenate(blocks, axis=1)
+        return nearest_corpus_rows(operands, self._plan)
 
     def _classify_one(
-        self,
-        state: ServingState,
-        query: Dict[str, Any],
-        distances: np.ndarray,
+        self, state: ServingState, found: QueryNearest, j: int
     ) -> Dict[str, Any]:
         snapshot = state.snapshot
-        nearest = int(np.argmin(distances))  # ties break to lowest index
-        distance = float(distances[nearest])
-        record = snapshot.records[nearest]
+        distance = float(found.distances[j])
+        record = snapshot.records[int(found.columns[j])]
         assigned = distance <= snapshot.cut_threshold
         campaign = snapshot.campaigns[str(record["cluster_id"])]
         verdict = snapshot.verdicts[record["wpn_id"]]
@@ -463,21 +444,37 @@ def _loads(text: str) -> Dict[str, Any]:
 
 
 def _normalize_wpn(wpn: Mapping[str, Any]) -> Dict[str, Any]:
-    """Canonical query form + precomputed features for one classify input."""
+    """Canonical query form + precomputed features for one classify input.
+
+    Raises :class:`InvalidQueryError` for a non-string title or body and
+    for a landing URL that is not an absolute URL string.
+    """
     if not isinstance(wpn, Mapping):
         raise TypeError(
             f"classify() takes a mapping with title/body/landing_url, got "
             f"{type(wpn).__name__}"
         )
-    title = str(wpn.get("title", ""))
-    body = str(wpn.get("body", ""))
-    landing_url = wpn.get("landing_url")
-    landing_url = str(landing_url) if landing_url else None
-    text_tokens = tokenize_text(f"{title} {body}")
+    title = wpn.get("title", "")
+    body = wpn.get("body", "")
+    for name, value in (("title", title), ("body", body)):
+        if not isinstance(value, str):
+            raise InvalidQueryError(
+                f"{name} must be a string, got {type(value).__name__}"
+            )
+    landing_url = wpn.get("landing_url") or None
     url_tokens: List[str] = []
-    if landing_url:
-        parsed = Url.parse(landing_url)
+    if landing_url is not None:
+        if not isinstance(landing_url, str):
+            raise InvalidQueryError(
+                f"landing_url must be a string, got "
+                f"{type(landing_url).__name__}"
+            )
+        try:
+            parsed = Url.parse(landing_url)
+        except ValueError as exc:
+            raise InvalidQueryError(f"landing_url: {exc}") from None
         url_tokens = sorted(set(tokenize_url_path(parsed.path, parsed.query)))
+    text_tokens = tokenize_text(f"{title} {body}")
     return {
         "title": title,
         "body": body,

@@ -226,7 +226,12 @@ class MinedSnapshot:
             "vocabulary": dict(model.vocabulary),
             "embeddings": encode_array(model.embeddings),
         }
-        config_section = dataclasses.asdict(result.config)
+        # Distances are always float64; the field stays in the config
+        # section so repro-snapshot/1 bytes (and hashes) do not change.
+        config_section = {
+            **dataclasses.asdict(result.config),
+            "precision": "float64",
+        }
         sections = {
             "records": records,
             "model": model_section,

@@ -139,7 +139,7 @@ class TestSanctionDeletion:
         index = ProjectIndex.build([SRC])
         graph = index.callgraph()
         base = DenseAllocPass(index, graph).run()
-        assert len(base) == 4, [ff.finding.location for ff in base]
+        assert len(base) == 3, [ff.finding.location for ff in base]
         assert all(ff.suppressed for ff in base)
         for ff in base:
             finding = ff.finding

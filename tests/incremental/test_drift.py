@@ -10,6 +10,7 @@ message) that the right check fired.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -141,3 +142,16 @@ def test_from_snapshot_refuses_drifted_landing_url(base_result):
     )
     with pytest.raises(IncrementalDriftError, match="landing URL"):
         IncrementalMiner.from_snapshot(snapshot, records)
+
+
+@pytest.mark.parametrize("precision", ["float32", None])
+def test_from_snapshot_refuses_non_float64_precision(base_result, precision):
+    payload = json.loads(MinedSnapshot.from_result(base_result).to_json())
+    config = payload["provenance"]["config"]
+    if precision is None:
+        del config["precision"]
+    else:
+        config["precision"] = precision
+    snapshot = MinedSnapshot.from_payload(payload, verify=False)
+    with pytest.raises(IncrementalDriftError, match="precision"):
+        IncrementalMiner.from_snapshot(snapshot, base_result.records)

@@ -258,7 +258,6 @@ class TestCutSilhouetteTile:
         digests = [self._digest(labels) for labels in labelings]
         operands = CutScoringOperands(
             pairwise=sparse.operands,
-            dtype="float64",
             compacts=tuple(d[0] for d in digests),
             orders=tuple(d[1] for d in digests),
             starts=tuple(d[2] for d in digests),

@@ -42,6 +42,18 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert out["kind"] == "classify"
 
+    def test_classify_malformed_landing_url_exits_2(
+        self, snapshot_path, capsys
+    ):
+        rc = main([
+            "--snapshot", snapshot_path, "classify",
+            "--title", "You won", "--landing-url", "not a url",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid classify input" in captured.err
+
     def test_campaign_unknown_id_exits_1(self, snapshot_path, capsys):
         rc = main(["--snapshot", snapshot_path, "campaign", "999999999"])
         assert rc == 1

@@ -40,6 +40,8 @@ class TestExport:
             "records", "model", "campaigns", "verdicts", "urls",
         }
         assert provenance["config_fingerprint"]
+        # A fixed field of repro-snapshot/1: distances are always float64.
+        assert provenance["config"]["precision"] == "float64"
 
     def test_unfitted_result_is_rejected(self, small_result):
         import dataclasses

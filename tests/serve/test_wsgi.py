@@ -69,6 +69,21 @@ class TestRoutes:
         status, _, _ = call(app, "POST", "/classify", body="[1,2]")
         assert status == "400 Bad Request"
 
+    @pytest.mark.parametrize("field,value", [
+        ("landing_url", "not a url"),
+        ("landing_url", 5),
+        ("landing_url", ["https://a.example/x"]),
+        ("title", 5),
+        ("title", None),
+        ("body", {"text": "claim"}),
+    ])
+    def test_classify_rejects_malformed_wpn(self, app, field, value):
+        wpn = {"title": "win", "body": "a prize", "landing_url": None}
+        wpn[field] = value
+        status, _, text = call(app, "POST", "/classify", body=json.dumps(wpn))
+        assert status == "400 Bad Request"
+        assert field in json.loads(text)["error"]
+
     def test_campaign_matches_core(self, app, core, snapshot):
         cluster_id = int(sorted(
             snapshot.campaigns.values(), key=lambda c: c["cluster_id"]
