@@ -245,6 +245,14 @@ else
     echo "no committed BENCH_incremental.json; skipping"
 fi
 
+# Repo benchmark correctness: the benchmark checks each session's
+# summaries and snapshot hashes against perfbench/references.json, so a
+# crawl or snapshot byte change fails here rather than in a benchmark run.
+# Gated on the exit code only; its walls are not compared.
+step "perfbench correctness smoke (python3 perfbench/run.py --workload batch-dense --seed 1 --seconds 8 --trace 0)"
+python3 perfbench/run.py --workload batch-dense --seed 1 --seconds 8 --trace 0 \
+    || failures=$((failures + 1))
+
 echo
 if [ "$failures" -ne 0 ]; then
     echo "check.sh: FAILED ($failures step(s) failed)"

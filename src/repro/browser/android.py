@@ -122,7 +122,10 @@ class AndroidDevice:
         return outcomes
 
     def sync_logcat(self) -> None:
-        """Mirror all browser events collected so far to the log channel."""
-        self.logcat.lines.clear()
-        for event in self.browser.events:
+        """Mirror the browser events not yet on the log channel, in order.
+
+        The mirror holds one line per event, so its length is the index of
+        the first unmirrored event.
+        """
+        for event in self.browser.events.since(len(self.logcat.lines)):
             self.logcat.write_event(event)

@@ -234,7 +234,9 @@ class CrawlEngine:
         Visits are staggered over the first half of the study so queued
         messages still have time to arrive before the final drain; each
         start time comes from a stream keyed by ``(platform, url)``, so it
-        is independent of every other session's draws.
+        is independent of every other session's draws. Only prompting
+        sites get one: a site that never prompts ends its session before
+        the start time is read, so its job carries ``0.0``.
         """
         config = self.ecosystem.config
         horizon = config.study_minutes * 0.5
@@ -242,12 +244,15 @@ class CrawlEngine:
         jobs: List[SessionJob] = []
         for wave in waves:
             for site in wave.sites:
-                stream = starts.stream(f"{wave.platform}|{site.url}")
+                start_min = 0.0
+                if site.requests_permission:
+                    stream = starts.stream(f"{wave.platform}|{site.url}")
+                    start_min = stream.uniform(0.0, horizon)
                 jobs.append(
                     SessionJob(
                         site=site,
                         platform=wave.platform,
-                        start_min=stream.uniform(0.0, horizon),
+                        start_min=start_min,
                         emulated=wave.emulated,
                     )
                 )

@@ -14,11 +14,11 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from repro.browser.android import AndroidDevice
 from repro.browser.browser import ClickOutcome, InstrumentedBrowser
-from repro.browser.events import EventLog
 from repro.browser.network import NetworkRequest
 from repro.browser.notifications import WebNotification
 from repro.core.records import WpnRecord, WpnTruth
@@ -78,12 +78,17 @@ class SessionResult:
     records: List[WpnRecord] = field(default_factory=list)
     landing_leads: List[LandingLead] = field(default_factory=list)
     sw_requests: List[NetworkRequest] = field(default_factory=list)
-    events: Optional[EventLog] = None
     first_latency_min: Optional[float] = None
 
 
 class ContainerSession:
-    """Visit one URL in an isolated browser; collect its WPNs."""
+    """Visit one URL in an isolated browser; collect its WPNs.
+
+    The container's parts (session key, keyed stream, push broker, browser
+    and Android device) are built on first use, so a visit to a site that
+    never prompts, which :meth:`run` answers without them, costs none of
+    them.
+    """
 
     def __init__(
         self,
@@ -100,28 +105,43 @@ class ContainerSession:
         self.config: ScenarioConfig = ecosystem.config
         self.site = site
         self.platform = platform
-        self.session_key = session_key(platform, str(site.url))
-        # Defaults make the session a self-contained pure kernel: its own
-        # namespaced broker and its own keyed stream, derived from what it
-        # visits rather than received from a shared scheduler.
-        self.fcm = (
-            fcm if fcm is not None else FcmService(namespace=self.session_key)
-        )
-        self.rng = (
-            rng
-            if rng is not None
-            else session_rng(ecosystem.config.seed, platform, str(site.url))
-        )
+        # An explicit broker or stream takes the place of the derived one
+        # (the cached properties below are non-data descriptors).
+        if fcm is not None:
+            self.fcm = fcm
+        if rng is not None:
+            self.rng = rng
         self.start_min = start_min
         self.emulated = emulated
         self._wpn_index = 0
-        self.browser = InstrumentedBrowser(
-            ecosystem, self.fcm, rng=self.rng, platform=platform
-        )
-        self.device = (
-            AndroidDevice(browser=self.browser) if platform == "mobile" else None
-        )
         self._sent_alerts: List[MessageCreative] = []
+
+    # Defaults make the session a self-contained pure kernel: its own
+    # namespaced broker and its own keyed stream, derived from what it
+    # visits rather than received from a shared scheduler.
+    @cached_property
+    def session_key(self) -> str:
+        return session_key(self.platform, str(self.site.url))
+
+    @cached_property
+    def fcm(self) -> FcmService:
+        return FcmService(namespace=self.session_key)
+
+    @cached_property
+    def rng(self) -> random.Random:
+        return session_rng(self.config.seed, self.platform, str(self.site.url))
+
+    @cached_property
+    def browser(self) -> InstrumentedBrowser:
+        return InstrumentedBrowser(
+            self.ecosystem, self.fcm, rng=self.rng, platform=self.platform
+        )
+
+    @cached_property
+    def device(self) -> Optional[AndroidDevice]:
+        if self.platform != "mobile":
+            return None
+        return AndroidDevice(browser=self.browser)
 
     # ------------------------------------------------------------------
     # Online-window schedule (suspend / resume policy)
@@ -206,14 +226,18 @@ class ContainerSession:
     # Main loop
     # ------------------------------------------------------------------
     def run(self) -> SessionResult:
-        visit = self.browser.visit(self.site, self.start_min)
         result = SessionResult(
             site=self.site,
             platform=self.platform,
             requested_permission=self.site.requests_permission,
-            subscriptions=len(visit.subscriptions),
-            events=self.browser.events,
+            subscriptions=0,
         )
+        if not self.site.requests_permission:
+            # No prompt means no subscription, so the visit could neither
+            # draw from the stream nor record anything: skip the container.
+            return result
+        visit = self.browser.visit(self.site, self.start_min)
+        result.subscriptions = len(visit.subscriptions)
         if not visit.subscriptions or not self.site.active_notifier:
             return result
 

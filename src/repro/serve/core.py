@@ -74,11 +74,21 @@ class UnknownCampaignError(KeyError):
     """:meth:`ServeCore.campaign` was asked about an id not in the snapshot."""
 
 
+#: Longest accepted classify ``title``, in characters. Crawled titles are
+#: tens of characters; the bound only stops oversized inputs.
+MAX_TITLE_CHARS = 256
+#: Longest accepted classify ``body``, in characters.
+MAX_BODY_CHARS = 2048
+#: Longest accepted classify ``landing_url``, in characters.
+MAX_LANDING_URL_CHARS = 2048
+
+
 class InvalidQueryError(ValueError):
     """A :meth:`ServeCore.classify` input is malformed.
 
-    Raised for a non-string title or body and for a landing URL that is
-    not an absolute URL string; the WSGI app answers it with ``400`` and
+    Raised for a non-string title or body, for a landing URL that is not
+    an absolute URL string, and for a field longer than its
+    ``MAX_*_CHARS`` bound; the WSGI app answers it with ``400`` and
     ``python -m repro.serve classify`` exits 2.
     """
 
@@ -443,11 +453,19 @@ def _loads(text: str) -> Dict[str, Any]:
     return json.loads(text)
 
 
+def _check_length(name: str, value: str, limit: int) -> None:
+    if len(value) > limit:
+        raise InvalidQueryError(
+            f"{name} is {len(value)} characters, the limit is {limit}"
+        )
+
+
 def _normalize_wpn(wpn: Mapping[str, Any]) -> Dict[str, Any]:
     """Canonical query form + precomputed features for one classify input.
 
-    Raises :class:`InvalidQueryError` for a non-string title or body and
-    for a landing URL that is not an absolute URL string.
+    Raises :class:`InvalidQueryError` for a non-string title or body, for
+    a landing URL that is not an absolute URL string, and for a field
+    longer than its ``MAX_*_CHARS`` bound.
     """
     if not isinstance(wpn, Mapping):
         raise TypeError(
@@ -456,11 +474,15 @@ def _normalize_wpn(wpn: Mapping[str, Any]) -> Dict[str, Any]:
         )
     title = wpn.get("title", "")
     body = wpn.get("body", "")
-    for name, value in (("title", title), ("body", body)):
+    for name, value, limit in (
+        ("title", title, MAX_TITLE_CHARS),
+        ("body", body, MAX_BODY_CHARS),
+    ):
         if not isinstance(value, str):
             raise InvalidQueryError(
                 f"{name} must be a string, got {type(value).__name__}"
             )
+        _check_length(name, value, limit)
     landing_url = wpn.get("landing_url") or None
     url_tokens: List[str] = []
     if landing_url is not None:
@@ -469,6 +491,7 @@ def _normalize_wpn(wpn: Mapping[str, Any]) -> Dict[str, Any]:
                 f"landing_url must be a string, got "
                 f"{type(landing_url).__name__}"
             )
+        _check_length("landing_url", landing_url, MAX_LANDING_URL_CHARS)
         try:
             parsed = Url.parse(landing_url)
         except ValueError as exc:

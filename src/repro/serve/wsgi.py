@@ -12,7 +12,7 @@ Routes (all responses are canonical JSON):
 
 * ``GET /check?url=...``      -> :meth:`ServeCore.check`
 * ``POST /classify``          -> :meth:`ServeCore.classify` (JSON body;
-  400 on a malformed WPN)
+  400 on a malformed WPN, 413 on a body over :data:`MAX_BODY_BYTES`)
 * ``GET /campaign/<id>``      -> :meth:`ServeCore.campaign` (404 unknown)
 * ``GET /stats``              -> :meth:`ServeCore.stats`
 * ``GET /healthz``            -> liveness + snapshot hash
@@ -30,11 +30,16 @@ from repro.serve.snapshot import canonical_json
 StartResponse = Callable[[str, List[Tuple[str, str]]], Any]
 WsgiApp = Callable[[Dict[str, Any], StartResponse], Iterable[bytes]]
 
+#: Largest request body read, in bytes. A classify body is under 1 KiB;
+#: a larger declared ``Content-Length`` is answered 413 unread.
+MAX_BODY_BYTES = 64 * 1024
+
 _STATUS = {
     200: "200 OK",
     400: "400 Bad Request",
     404: "404 Not Found",
     405: "405 Method Not Allowed",
+    413: "413 Content Too Large",
 }
 
 
@@ -82,8 +87,14 @@ def _dispatch(
     if path == "/classify":
         if method != "POST":
             return 405, {"error": "use POST /classify with a JSON body"}
+        length = _content_length(environ)
+        if length > MAX_BODY_BYTES:
+            return 413, {
+                "error": f"request body is {length} bytes, "
+                f"the limit is {MAX_BODY_BYTES}"
+            }
         try:
-            raw = _read_body(environ)
+            raw = _read_body(environ, length)
             wpn = json.loads(raw.decode("utf-8")) if raw else None
         except (ValueError, UnicodeDecodeError) as exc:
             return 400, {"error": f"invalid JSON body: {exc}"}
@@ -122,11 +133,14 @@ def _dispatch(
     }
 
 
-def _read_body(environ: Dict[str, Any]) -> bytes:
+def _content_length(environ: Dict[str, Any]) -> int:
     try:
-        length = int(environ.get("CONTENT_LENGTH") or 0)
+        return int(environ.get("CONTENT_LENGTH") or 0)
     except ValueError:
-        length = 0
+        return 0
+
+
+def _read_body(environ: Dict[str, Any], length: int) -> bytes:
     stream = environ.get("wsgi.input")
     if stream is None or length <= 0:
         return b""

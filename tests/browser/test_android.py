@@ -4,6 +4,7 @@ import pytest
 
 from repro.browser.android import (
     AccessibilityService,
+    AdbLogcat,
     AndroidDevice,
     AndroidNotificationTray,
 )
@@ -81,6 +82,18 @@ class TestAndroidDevice:
         device.auto_interact(2.0, 0.05)
         assert len(device.logcat.lines) == len(device.browser.events)
         assert any("notification_shown" in line for line in device.logcat.lines)
+
+    def test_logcat_sync_over_rounds_equals_a_full_mirror(self, small_ecosystem):
+        device = AndroidDevice(browser=mobile_browser(small_ecosystem))
+        for round_index in range(4):
+            push_once(device, small_ecosystem)
+            device.auto_interact(2.0 + round_index, 0.05)
+        device.sync_logcat()  # a sync with nothing new adds nothing
+        full = AdbLogcat()
+        for event in device.browser.events:
+            full.write_event(event)
+        assert device.logcat.lines == full.lines
+        assert len(full.lines) == len(device.browser.events)
 
     def test_mobile_click_validity_rate_is_low(self, small_ecosystem):
         # The paper's mobile crawl lost ~70% of clicks to missing landings.

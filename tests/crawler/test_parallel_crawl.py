@@ -11,6 +11,7 @@ counter once made back-to-back crawls of the same scenario disagree on
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -36,6 +37,29 @@ def _stats_bytes(dataset) -> str:
         ],
         sort_keys=True,
     )
+
+
+def _crawl_digest(dataset) -> str:
+    """blake2b of every crawl output the measurement tables read."""
+    payload = {
+        "records": [dataclasses.asdict(r) for r in dataset.records],
+        "stats": [
+            dataclasses.asdict(dataset.desktop_stats),
+            dataclasses.asdict(dataset.mobile_stats),
+        ],
+        "sw_requests": [dataclasses.asdict(r) for r in dataset.sw_requests],
+        "first_latencies_min": dataset.first_latencies_min,
+    }
+    text = json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), default=str
+    )
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
+
+
+#: Digest of the seed-11, scale-0.02, both-platform crawl. The worker-count
+#: tests only compare runs of one tree with each other; this pin catches a
+#: change that shifts every run the same way.
+GOLDEN_CRAWL_DIGEST = "241c92eabdd204a534fb882e06785d97"
 
 
 def _miner_summary(dataset):
@@ -64,6 +88,15 @@ class TestBackToBackDeterminism:
         for record in serial_dataset.records[:50]:
             key = session_key(record.platform, record.source_url)
             assert record.wpn_id.startswith(f"wpn-{key}-")
+
+
+class TestGoldenCrawl:
+    def test_crawl_outputs_match_pinned_digest(self, serial_dataset):
+        assert _crawl_digest(serial_dataset) == GOLDEN_CRAWL_DIGEST
+
+    def test_digested_outputs_are_not_empty(self, serial_dataset):
+        assert serial_dataset.sw_requests
+        assert serial_dataset.first_latencies_min
 
 
 class TestWorkerCountInvariance:

@@ -25,6 +25,17 @@ def active_publisher(ecosystem):
     raise AssertionError("no active publisher")
 
 
+def non_prompting_site(ecosystem):
+    for site in ecosystem.websites:
+        if not site.requests_permission:
+            return site
+    raise AssertionError("none found")
+
+
+#: Container parts a session builds on first use.
+CONTAINER_PARTS = ("session_key", "fcm", "rng", "browser", "device")
+
+
 def inactive_site(ecosystem):
     for site in ecosystem.websites:
         if site.requests_permission and not site.active_notifier:
@@ -129,3 +140,69 @@ class TestRun:
             if len(titles) != len(set(titles)):
                 repeats += 1
         assert repeats > 0
+
+
+class TestLazyContainer:
+    @pytest.mark.parametrize("platform", ["desktop", "mobile"])
+    def test_non_prompting_site_builds_nothing(self, small_ecosystem, platform):
+        site = non_prompting_site(small_ecosystem)
+        session = ContainerSession(
+            ecosystem=small_ecosystem, site=site, platform=platform,
+            start_min=0.0,
+        )
+        result = session.run()
+        assert result.site is site
+        assert result.platform == platform
+        assert not result.requested_permission
+        assert result.subscriptions == 0
+        assert result.records == []
+        assert result.landing_leads == []
+        assert result.sw_requests == []
+        assert result.first_latency_min is None
+        for part in CONTAINER_PARTS:
+            assert part not in vars(session), part
+
+    @pytest.mark.parametrize("platform", ["desktop", "mobile"])
+    def test_prompting_session_builds_its_container(
+        self, small_ecosystem, platform
+    ):
+        session = ContainerSession(
+            ecosystem=small_ecosystem,
+            site=active_publisher(small_ecosystem),
+            platform=platform,
+            start_min=0.0,
+        )
+        result = session.run()
+        assert result.requested_permission
+        assert result.subscriptions > 0
+        for part in ("session_key", "fcm", "rng", "browser"):
+            assert part in vars(session), part
+        assert session.fcm.namespace == session.session_key
+        assert (session.device is not None) == (platform == "mobile")
+
+    def test_explicit_broker_and_stream_are_used(self, small_ecosystem):
+        session = make_session(small_ecosystem, active_publisher(small_ecosystem))
+        fcm, rng = session.fcm, session.rng
+        session.run()
+        assert session.browser.fcm is fcm
+        assert session.browser.rng is rng
+
+    def test_start_times_drawn_only_for_prompting_sites(self, small_ecosystem):
+        from repro.crawler.engine import CrawlEngine, PlatformWave
+        from repro.util.rng import RngFactory
+
+        sites = tuple(small_ecosystem.websites[:40])
+        assert any(s.requests_permission for s in sites)
+        assert not all(s.requests_permission for s in sites)
+        jobs = CrawlEngine(small_ecosystem)._seed_jobs(
+            [PlatformWave(platform="desktop", sites=sites)]
+        )
+        config = small_ecosystem.config
+        starts = RngFactory(config.seed).child("crawl-start")
+        for job in jobs:
+            if job.site.requests_permission:
+                stream = starts.stream(f"desktop|{job.site.url}")
+                expected = stream.uniform(0.0, config.study_minutes * 0.5)
+                assert job.start_min == expected
+            else:
+                assert job.start_min == 0.0

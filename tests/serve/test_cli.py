@@ -54,6 +54,18 @@ class TestMain:
         assert captured.out == ""
         assert "invalid classify input" in captured.err
 
+    def test_classify_over_long_title_exits_2(self, snapshot_path, capsys):
+        from repro.serve.core import MAX_TITLE_CHARS
+
+        rc = main([
+            "--snapshot", snapshot_path, "classify",
+            "--title", "x" * (MAX_TITLE_CHARS + 1),
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "title" in captured.err
+
     def test_campaign_unknown_id_exits_1(self, snapshot_path, capsys):
         rc = main(["--snapshot", snapshot_path, "campaign", "999999999"])
         assert rc == 1

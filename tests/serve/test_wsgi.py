@@ -6,6 +6,12 @@ import json
 import pytest
 
 from repro.serve import canonical_json, create_app
+from repro.serve.core import (
+    MAX_BODY_CHARS,
+    MAX_LANDING_URL_CHARS,
+    MAX_TITLE_CHARS,
+)
+from repro.serve.wsgi import MAX_BODY_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +89,49 @@ class TestRoutes:
         status, _, text = call(app, "POST", "/classify", body=json.dumps(wpn))
         assert status == "400 Bad Request"
         assert field in json.loads(text)["error"]
+
+    @pytest.mark.parametrize("field,value", [
+        ("title", "x" * (MAX_TITLE_CHARS + 1)),
+        ("body", "x" * (MAX_BODY_CHARS + 1)),
+        (
+            "landing_url",
+            "https://a.example/" + "x" * MAX_LANDING_URL_CHARS,
+        ),
+    ])
+    def test_classify_rejects_over_long_field(self, app, field, value):
+        wpn = {"title": "win", "body": "a prize", "landing_url": None}
+        wpn[field] = value
+        status, _, text = call(app, "POST", "/classify", body=json.dumps(wpn))
+        assert status == "400 Bad Request"
+        assert field in json.loads(text)["error"]
+
+    def test_classify_accepts_fields_at_the_limit(self, app):
+        wpn = {
+            "title": "x" * MAX_TITLE_CHARS,
+            "body": "x" * MAX_BODY_CHARS,
+            "landing_url": None,
+        }
+        status, _, _ = call(app, "POST", "/classify", body=json.dumps(wpn))
+        assert status == "200 OK"
+
+    def test_oversized_body_is_413_and_never_read(self, app):
+        class Unreadable:
+            def read(self, *args):
+                raise AssertionError("an oversized body must not be read")
+
+        captured = {}
+        environ = {
+            "REQUEST_METHOD": "POST",
+            "PATH_INFO": "/classify",
+            "QUERY_STRING": "",
+            "CONTENT_LENGTH": str(MAX_BODY_BYTES + 1),
+            "wsgi.input": Unreadable(),
+        }
+        text = b"".join(app(
+            environ, lambda status, headers: captured.update(status=status)
+        )).decode("utf-8")
+        assert captured["status"] == "413 Content Too Large"
+        assert str(MAX_BODY_BYTES) in json.loads(text)["error"]
 
     def test_campaign_matches_core(self, app, core, snapshot):
         cluster_id = int(sorted(
