@@ -8,7 +8,7 @@ changes can't silently regress the pipeline's scalability.
 import numpy as np
 import pytest
 
-from repro.core.clustering import AgglomerativeClusterer, select_cut
+from repro.core.clustering import AgglomerativeClusterer, evaluate_cuts
 from repro.core.distance import compute_distances
 from repro.core.silhouette import average_silhouette
 from repro.core.textsim import SoftCosineModel
@@ -58,8 +58,8 @@ def test_perf_nn_chain(benchmark, distances):
 
 def test_perf_cut_selection(benchmark, distances):
     linkage = AgglomerativeClusterer().fit(distances)
-    threshold, labels, score = benchmark(select_cut, linkage, distances)
-    assert labels.shape[0] == distances.shape[0]
+    selection = benchmark(evaluate_cuts, linkage, distances)
+    assert selection.labels.shape[0] == distances.shape[0]
 
 
 def test_perf_silhouette(benchmark, distances):

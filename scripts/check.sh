@@ -253,6 +253,12 @@ step "perfbench correctness smoke (python3 perfbench/run.py --workload batch-den
 python3 perfbench/run.py --workload batch-dense --seed 1 --seconds 8 --trace 0 \
     || failures=$((failures + 1))
 
+# batch-dense never reaches the blocked cut; serve-live mines with blocked
+# storage, so the same exit-code-only check covers the blocked sweep.
+step "perfbench blocked smoke (python3 perfbench/run.py --workload serve-live --seed 1 --seconds 8 --trace 0)"
+python3 perfbench/run.py --workload serve-live --seed 1 --seconds 8 --trace 0 \
+    || failures=$((failures + 1))
+
 echo
 if [ "$failures" -ne 0 ]; then
     echo "check.sh: FAILED ($failures step(s) failed)"

@@ -15,7 +15,9 @@ cut selection can prove its thresholds never leave certified territory.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -24,12 +26,12 @@ import numpy as np
 from repro.core.silhouette import average_silhouette
 from repro.perf import (
     BlockingExactnessError,
-    CutScoringOperands,
     ExecutionPlan,
     PairwiseOperands,
     SparsePairwise,
+    Tile,
+    combined_distance_tile,
     component_labels,
-    cut_silhouette_tile,
 )
 from repro.util.graph import UnionFind
 
@@ -671,52 +673,6 @@ class CutSelection:
     n_candidates: int
 
 
-class IncrementalCutSweep:
-    """Flat labelings at nondecreasing thresholds, maintained incrementally.
-
-    :meth:`Linkage.cut` rebuilds a :class:`UnionFind` over every merge for
-    each threshold. A sweep instead walks the height-sorted merges once:
-    advancing to a higher threshold only applies the merges in between,
-    and relabeling is O(n). The union sequence for any threshold is a
-    prefix of the same order :meth:`Linkage.cut` uses, so the labels are
-    identical array-for-array — a property the tests assert.
-    """
-
-    def __init__(self, linkage: Linkage):
-        self._linkage = linkage
-        self._uf = UnionFind(range(linkage.n_leaves))
-        for merge in linkage.merges:
-            self._uf.add(merge.new_id)
-        self._position = 0
-        self._last_threshold = -np.inf
-
-    def labels_at(self, threshold: float) -> np.ndarray:
-        """Cluster labels at ``threshold`` (must be nondecreasing)."""
-        if threshold < self._last_threshold:
-            raise ValueError(
-                f"sweep thresholds must be nondecreasing: {threshold} < "
-                f"{self._last_threshold}"
-            )
-        self._last_threshold = threshold
-        merges = self._linkage.merges
-        while (
-            self._position < len(merges)
-            and merges[self._position].height <= threshold
-        ):
-            merge = merges[self._position]
-            self._uf.union(merge.id_a, merge.new_id)
-            self._uf.union(merge.id_b, merge.new_id)
-            self._position += 1
-        labels = np.empty(self._linkage.n_leaves, dtype=np.int64)
-        canon: Dict[object, int] = {}
-        for leaf in range(self._linkage.n_leaves):
-            root = self._uf.find(leaf)
-            if root not in canon:
-                canon[root] = len(canon)
-            labels[leaf] = canon[root]
-        return labels
-
-
 def _dependency_order(linkage: Linkage) -> List[Merge]:
     """Height-sorted merges, reordered so children precede parents.
 
@@ -756,112 +712,187 @@ def _dependency_order(linkage: Linkage) -> List[Merge]:
     return ordered
 
 
-class IncrementalSilhouetteSweep:
-    """Average silhouette at nondecreasing thresholds, O(n*k) per score.
+@dataclass(frozen=True)
+class CutSchedule:
+    """Row-independent replay plan of one ascending silhouette sweep.
 
     Scoring a cut from scratch costs O(n^2) (permute + reduce the full
-    distance matrix). A sweep instead maintains, across the height-sorted
-    merge sequence, each point's MEAN distance to every live cluster: a
-    column matrix ``M`` (compacted, live columns first) plus cluster
-    sizes. A merge replaces two columns by their size-weighted mean in
-    O(n); scoring a threshold is then one masked min-reduction over the
-    live columns. Column means are accumulated along the merge tree
-    instead of in index order, so scores can differ from
-    :func:`~repro.core.silhouette.silhouette_samples` in the last few
-    ulps — the equivalence tests bound that, and the end-to-end tests pin
-    the resulting cut selection bit-for-bit.
+    distance matrix).  The sweep instead maintains, along the merge
+    sequence, each point's MEAN distance to every live cluster: one
+    column per cluster, compacted so the live columns stay first.  A
+    merge replaces two columns by their size-weighted mean; scoring a
+    threshold is one masked min-reduction over the live columns.
+
+    Which columns a merge touches, and each leaf's own column at every
+    threshold, do not depend on the distances, so :func:`cut_schedule`
+    works them out once per linkage and :func:`silhouette_rows` replays
+    them on any block of distance rows.  Rows never interact, so the
+    per-row silhouettes of a block are bitwise the same wherever the
+    block's rows come from.
+
+    Per applied merge (``(m,)`` arrays, dependency order): the absorbing
+    column ``col_a``, the freed column ``col_b``, the last live column
+    ``last`` that compaction moves into ``col_b``, and both cluster
+    sizes before the merge.  Per distinct ascending threshold (``(T,)``
+    arrays): merges applied when it is scored (``steps``), live clusters
+    ``ks``, and, as ``(T, n)`` arrays, each leaf's own column ``own`` and
+    that column's size ``own_counts``.  Plain arrays only: the schedule
+    crosses process boundaries under a parallel execution plan.
     """
 
-    def __init__(self, linkage: Linkage, distances: np.ndarray):
-        n = linkage.n_leaves
-        if distances.shape != (n, n):
-            raise ValueError(
-                f"distance matrix shape {distances.shape} does not match "
-                f"{n} leaves"
+    col_a: np.ndarray
+    col_b: np.ndarray
+    last: np.ndarray
+    size_a: np.ndarray
+    size_b: np.ndarray
+    steps: np.ndarray
+    ks: np.ndarray
+    own: np.ndarray
+    own_counts: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return int(self.own.shape[1])
+
+
+def cut_schedule(linkage: Linkage, thresholds: Sequence[float]) -> CutSchedule:
+    """The sweep schedule of ``linkage`` at strictly ascending thresholds."""
+    ts = [float(t) for t in thresholds]
+    if any(not hi > lo for lo, hi in zip(ts, ts[1:])):
+        raise ValueError(f"sweep thresholds must be strictly ascending: {ts}")
+    n = linkage.n_leaves
+    order = _dependency_order(linkage)
+    m = len(order)
+    n_nodes = max([n] + [merge.new_id + 1 for merge in order])
+    moves = np.empty((3, m), dtype=np.intp)
+    sizes = np.empty((2, m), dtype=np.float64)
+    counts = np.ones(n, dtype=np.float64)
+    col_of = np.zeros(n_nodes, dtype=np.intp)  # live node id -> column
+    col_of[:n] = np.arange(n)
+    id_of = np.arange(n, dtype=np.intp)  # column -> live node id
+    # ancestor[x] is some ancestor of node x among the applied merges;
+    # pointer jumping resolves it to x's current cluster node.
+    ancestor = np.arange(n_nodes, dtype=np.intp)
+    steps = np.empty(len(ts), dtype=np.intp)
+    ks = np.empty(len(ts), dtype=np.intp)
+    own = np.empty((len(ts), n), dtype=np.intp)
+    own_counts = np.empty((len(ts), n), dtype=np.float64)
+    k = n
+    step = 0
+    for index, threshold in enumerate(ts):
+        while step < m and order[step].height <= threshold:
+            merge = order[step]
+            a, b, last = col_of[merge.id_a], col_of[merge.id_b], k - 1
+            moves[:, step] = (a, b, last)
+            sizes[:, step] = (counts[a], counts[b])
+            counts[a] = counts[a] + counts[b]
+            col_of[merge.new_id] = a
+            id_of[a] = merge.new_id
+            ancestor[merge.id_a] = merge.new_id
+            ancestor[merge.id_b] = merge.new_id
+            if b != last:
+                counts[b] = counts[last]
+                id_of[b] = id_of[last]
+                col_of[id_of[b]] = b
+            k -= 1
+            step += 1
+        while True:
+            jumped = ancestor[ancestor]
+            if np.array_equal(jumped, ancestor):
+                break
+            ancestor = jumped
+        steps[index] = step
+        ks[index] = k
+        own[index] = col_of[ancestor[:n]]
+        own_counts[index] = counts[own[index]]
+    return CutSchedule(
+        col_a=moves[0, :step].copy(),
+        col_b=moves[1, :step].copy(),
+        last=moves[2, :step].copy(),
+        size_a=sizes[0, :step].copy(),
+        size_b=sizes[1, :step].copy(),
+        steps=steps,
+        ks=ks,
+        own=own,
+        own_counts=own_counts,
+    )
+
+
+def silhouette_rows(
+    schedule: CutSchedule, start: int, rows: np.ndarray
+) -> np.ndarray:
+    """Per-point silhouettes of rows ``start..start + len(rows)``.
+
+    ``rows`` holds those points' distances to all ``n`` points.  Returns
+    shape ``(T, len(rows))``: one row per schedule threshold, following
+    :func:`~repro.core.silhouette.average_silhouette`'s conventions —
+    singleton points score 0, and every point of a degenerate cut (fewer
+    than 2 clusters, or every point a cluster) scores -1.0.  Column means
+    accumulate along the merge tree rather than in index order, so values
+    can differ from :func:`~repro.core.silhouette.silhouette_samples` in
+    the last ulps.
+    """
+    n = schedule.n
+    size = rows.shape[0]
+    if rows.ndim != 2 or rows.shape[1] != n or not 0 <= start <= n - size:
+        raise ValueError(
+            f"distance rows of shape {rows.shape} at row {start} do not "
+            f"match {n} leaves"
+        )
+    # Transposed: cluster column j is the contiguous row means[j].
+    means = np.array(rows.T, dtype=np.float64, order="C")
+    out = np.full((schedule.steps.size, size), -1.0)
+    local = np.arange(size)
+    moves = zip(
+        schedule.col_a.tolist(), schedule.col_b.tolist(),
+        schedule.last.tolist(), schedule.size_a.tolist(),
+        schedule.size_b.tolist(),
+    )
+    done = 0
+    for index, (step, k) in enumerate(
+        zip(schedule.steps.tolist(), schedule.ks.tolist())
+    ):
+        for a, b, last, size_a, size_b in itertools.islice(moves, step - done):
+            means[a] = (size_a * means[a] + size_b * means[b]) / (
+                size_a + size_b
             )
-        self._linkage = linkage
-        self._n = n
-        # Column j starts as the singleton cluster {j}: its mean-distance
-        # column is exactly the distance column.
-        self._means = np.array(distances, dtype=np.float64, copy=True)
-        self._counts = np.ones(n, dtype=np.float64)
-        self._k = n
-        self._col_of: Dict[int, int] = {leaf: leaf for leaf in range(n)}
-        self._id_of: List[int] = list(range(n))
-        self._uf = UnionFind(range(n))
-        for merge in linkage.merges:
-            self._uf.add(merge.new_id)
-        self._order = _dependency_order(linkage)
-        self._position = 0
-        self._last_threshold = -np.inf
-
-    def _apply(self, merge: Merge) -> None:
-        # _col_of is keyed by union-find ROOT (which need not be the
-        # cluster id the dendrogram assigned), so resolve before uniting.
-        col_a = self._col_of.pop(self._uf.find(merge.id_a))
-        col_b = self._col_of.pop(self._uf.find(merge.id_b))
-        size_a, size_b = self._counts[col_a], self._counts[col_b]
-        self._means[:, col_a] = (
-            size_a * self._means[:, col_a] + size_b * self._means[:, col_b]
-        ) / (size_a + size_b)
-        self._counts[col_a] = size_a + size_b
-        self._uf.union(merge.id_a, merge.new_id)
-        self._uf.union(merge.id_b, merge.new_id)
-        merged_root = self._uf.find(merge.new_id)
-        self._col_of[merged_root] = col_a
-        self._id_of[col_a] = merged_root
-        # Compact: move the last live column into the freed slot so the
-        # live block stays contiguous at [:, :k].
-        last = self._k - 1
-        if col_b != last:
-            self._means[:, col_b] = self._means[:, last]
-            self._counts[col_b] = self._counts[last]
-            moved = self._id_of[last]
-            self._id_of[col_b] = moved
-            self._col_of[moved] = col_b
-        self._k -= 1
-
-    def score_at(self, threshold: float) -> float:
-        """Average silhouette at ``threshold`` (must be nondecreasing).
-
-        Matches :func:`~repro.core.silhouette.average_silhouette`'s
-        conventions: singleton points score 0; degenerate cuts (fewer
-        than 2 clusters, or every point a cluster) score -1.0.
-        """
-        if threshold < self._last_threshold:
-            raise ValueError(
-                f"sweep thresholds must be nondecreasing: {threshold} < "
-                f"{self._last_threshold}"
-            )
-        self._last_threshold = threshold
-        merges = self._order
-        while (
-            self._position < len(merges)
-            and merges[self._position].height <= threshold
-        ):
-            self._apply(merges[self._position])
-            self._position += 1
-        k, n = self._k, self._n
+            if b != last:
+                means[b] = means[last]
+        done = step
         if k < 2 or k >= n:
-            return -1.0
-        own = np.empty(n, dtype=np.intp)
-        col_of, find = self._col_of, self._uf.find
-        for leaf in range(n):
-            own[leaf] = col_of[find(leaf)]
-        idx = np.arange(n)
-        live = self._means[:, :k]
-        own_counts = self._counts[own]
-        own_means = live[idx, own].copy()
-        live[idx, own] = np.inf
-        b = live.min(axis=1)
-        live[idx, own] = own_means  # restore the masked entries
+            continue
+        own = schedule.own[index, start:start + size]
+        own_counts = schedule.own_counts[index, start:start + size]
+        live = means[:k]
+        own_means = live[own, local]
+        live[own, local] = np.inf
+        nearest = live.min(axis=0)
+        live[own, local] = own_means  # restore the masked entries
         # sum-to-own / (count - 1), from the mean: sum = mean * count.
-        a = own_means * own_counts / np.maximum(own_counts - 1.0, 1.0)
-        denom = np.maximum(a, b)
+        mean_own = own_means * own_counts / np.maximum(own_counts - 1.0, 1.0)
+        denom = np.maximum(mean_own, nearest)
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(denom > 0, (b - a) / np.maximum(denom, 1e-12), 0.0)
+            s = np.where(
+                denom > 0,
+                (nearest - mean_own) / np.maximum(denom, 1e-12),
+                0.0,
+            )
         s[own_counts == 1] = 0.0  # singleton convention
-        return float(s.mean())
+        out[index] = s
+    return out
+
+
+def silhouette_tile(
+    schedule: CutSchedule, operands: PairwiseOperands, tile: Tile
+) -> np.ndarray:
+    """:func:`silhouette_rows` of one row tile recomputed from operands.
+
+    The tile's combined-distance rows are bitwise the dense matrix's
+    rows, so the stacked tiles equal the one-block dense result bit for
+    bit, in O(tile.size * n) memory.
+    """
+    text, url = combined_distance_tile(operands, tile)
+    return silhouette_rows(schedule, tile.start, (text + url) / 2.0)
 
 
 def _candidate_thresholds(
@@ -902,104 +933,35 @@ def _candidate_thresholds(
     return [min(float(heights[0]), max_threshold)], True, raw
 
 
-def evaluate_cuts(
+def _certified_candidates(
     linkage: Linkage,
-    distances: np.ndarray,
-    candidates: Optional[Sequence[float]] = None,
-    max_candidates: int = 24,
-    min_cluster_fraction: float = 0.33,
-    max_threshold: float = 0.25,
-) -> CutSelection:
-    """Pick the dendrogram cut with the highest average silhouette.
+    heights: np.ndarray,
+    candidates: Optional[Sequence[float]],
+    max_candidates: int,
+    min_cluster_fraction: float,
+    max_threshold: float,
+) -> List[float]:
+    """The candidate thresholds, certified against a partial linkage.
 
-    Candidate thresholds default to quantiles of the merge heights,
-    restricted to *conservative* cuts in two ways: keep at least
-    ``min_cluster_fraction * n`` clusters, and never cut above
-    ``max_threshold`` (with the paper's combined text+URL distance, 0.25
-    still means near-identical messages). The paper tunes its clustering
-    to yield tight clusters (8,780 clusters over 12,262 WPNs) precisely
-    because the global silhouette optimum sits at coarse cuts that mix ads
-    from unrelated campaigns. The returned :class:`CutSelection` also
-    records how many candidate cuts were silhouette-scored.
-    """
-    heights = linkage.heights()
-    if heights.size == 0:
-        return CutSelection(0.0, linkage.cut(0.0), 0.0, 0)
-    if candidates is None:
-        candidates, _, _ = _candidate_thresholds(
-            heights,
-            linkage.n_leaves,
-            max_candidates,
-            min_cluster_fraction,
-            max_threshold,
-        )
+    A linkage whose merges are all exact (every dense fit) takes the
+    caller's candidates, or the default :func:`_candidate_thresholds`,
+    as they are.  A certified sparse linkage only knows its exact prefix
+    — dense heights past ``exact_merges`` are somewhere in
+    ``[height_floor, 1.0]`` — so two certificates must hold:
 
-    # Score every distinct threshold in one ascending incremental sweep
-    # (each merge is applied exactly once across all candidates), then pick
-    # the winner in the caller's candidate order — same strict-improvement
-    # tie-breaking as scoring candidates one by one.
-    candidate_list = [float(t) for t in candidates]
-    sweep = IncrementalSilhouetteSweep(linkage, distances)
-    scores: Dict[float, float] = {}
-    for threshold in sorted(set(candidate_list)):
-        scores[threshold] = sweep.score_at(threshold)
-
-    best: Tuple[float, float] = (0.0, -np.inf)
-    found = False
-    for threshold in candidate_list:
-        if scores[threshold] > best[1]:
-            best = (threshold, scores[threshold])
-            found = True
-    if not found:
-        threshold = float(np.median(heights))
-        return CutSelection(
-            threshold, linkage.cut(threshold), -1.0, len(candidate_list)
-        )
-    return CutSelection(
-        best[0], linkage.cut(best[0]), best[1], len(candidate_list)
-    )
-
-
-def evaluate_cuts_sparse(
-    linkage: Linkage,
-    operands: PairwiseOperands,
-    *,
-    plan: Optional[ExecutionPlan] = None,
-    candidates: Optional[Sequence[float]] = None,
-    max_candidates: int = 24,
-    min_cluster_fraction: float = 0.33,
-    max_threshold: float = 0.25,
-) -> CutSelection:
-    """:func:`evaluate_cuts` over a certified sparse linkage, streaming.
-
-    Never materializes the dense distance matrix: per-point silhouettes
-    are recomputed tile by tile from the pairwise ``operands`` with
-    :func:`repro.perf.cut_silhouette_tile`, which replays the exact
-    permute / reduce scalar sequence
-    :func:`repro.core.silhouette.silhouette_samples` runs on the full
-    matrix — each candidate's score is the bitwise
-    :func:`~repro.core.silhouette.average_silhouette` of its labeling.
-    (:func:`evaluate_cuts` scores through the incremental sweep, whose
-    accumulation can differ in the last ulps; the end-to-end identity
-    tests pin that both paths *select* the same cut.)
-
-    Exactness is certified before any scoring:
-
-    * Default candidate generation depends on the merge-height quantiles,
-      and the sparse linkage only knows its certified prefix — dense
-      heights past ``exact_merges`` are somewhere in ``[height_floor,
-      1.0]``.  The candidate list is therefore generated twice, once
-      with the placeholder tail pinned at 1.0 and once pinned at the
-      floor.  Each quantile is monotone in every order statistic, so a
-      quantile the two runs agree on bit for bit is the dense value
-      (the dense heights are sandwiched coordinate-wise between the two
-      variants); a quantile they disagree on is only tolerated when its
-      floor-pinned value — a lower bound on the dense quantile — already
-      clears ``max_threshold``, i.e. the candidate filter discards it
-      for *any* dense tail.  The min-cluster filter is itself monotone
-      in the tail (the 1.0-pinned run can only over-retain, the
-      floor-pinned run only under-retain), so matching filtered lists
-      and fallback flags pin the dense list exactly.
+    * Default candidate generation depends on the merge-height quantiles.
+      The candidate list is therefore generated twice, once with the
+      placeholder tail pinned at 1.0 and once pinned at the floor.  Each
+      quantile is monotone in every order statistic, so a quantile the
+      two runs agree on bit for bit is the dense value (the dense heights
+      are sandwiched coordinate-wise between the two variants); a
+      quantile they disagree on is only tolerated when its floor-pinned
+      value — a lower bound on the dense quantile — already clears
+      ``max_threshold``, i.e. the candidate filter discards it for *any*
+      dense tail.  The min-cluster filter is itself monotone in the tail
+      (the 1.0-pinned run can only over-retain, the floor-pinned run only
+      under-retain), so matching filtered lists and fallback flags pin
+      the dense list exactly.
     * Every retained threshold must undercut ``height_floor`` by
       :data:`EXACTNESS_MARGIN`: below the floor the merge prefix is
       bitwise the dense path's, so the labels are too.
@@ -1009,9 +971,6 @@ def evaluate_cuts_sparse(
     approximating; callers then rerun with a larger ``blocking_bound``
     or dense storage.
     """
-    heights = linkage.heights()
-    if heights.size == 0:
-        return CutSelection(0.0, linkage.cut(0.0), 0.0, 0)
     n = linkage.n_leaves
     floor = linkage.height_floor
     n_exact = linkage.exact_merges
@@ -1069,46 +1028,61 @@ def evaluate_cuts_sparse(
                 f"undercut the certification floor {floor:.6f}; raise "
                 "the blocking bound or use dense storage"
             )
+    return candidate_list
 
-    # Labelings per distinct threshold (ascending — identical arrays to
-    # Linkage.cut), digested exactly as silhouette_samples digests
-    # labels.  Degenerate labelings score -1.0 without streaming.
+
+def evaluate_cuts(
+    linkage: Linkage,
+    distances: Union[np.ndarray, PairwiseOperands],
+    *,
+    plan: Optional[ExecutionPlan] = None,
+    candidates: Optional[Sequence[float]] = None,
+    max_candidates: int = 24,
+    min_cluster_fraction: float = 0.33,
+    max_threshold: float = 0.25,
+) -> CutSelection:
+    """Pick the dendrogram cut with the highest average silhouette.
+
+    Candidate thresholds default to quantiles of the merge heights,
+    restricted to *conservative* cuts in two ways: keep at least
+    ``min_cluster_fraction * n`` clusters, and never cut above
+    ``max_threshold`` (with the paper's combined text+URL distance, 0.25
+    still means near-identical messages). The paper tunes its clustering
+    to yield tight clusters (8,780 clusters over 12,262 WPNs) precisely
+    because the global silhouette optimum sits at coarse cuts that mix ads
+    from unrelated campaigns. The returned :class:`CutSelection` also
+    records how many candidate cuts were silhouette-scored.
+
+    Every distinct candidate is scored by one ascending sweep
+    (:func:`cut_schedule`, then :func:`silhouette_rows`), whose rows come
+    from either storage: a dense square matrix is one block of all rows;
+    blocked :class:`~repro.perf.PairwiseOperands` are streamed tile by
+    tile through ``plan``, never materializing the matrix.  Both give
+    the same scores bit for bit.  A certified sparse linkage's candidates
+    are checked by :func:`_certified_candidates` first.
+    """
+    heights = linkage.heights()
+    if heights.size == 0:
+        return CutSelection(0.0, linkage.cut(0.0), 0.0, 0)
+    candidate_list = _certified_candidates(
+        linkage, heights, candidates, max_candidates, min_cluster_fraction,
+        max_threshold,
+    )
     distinct = sorted(set(candidate_list))
-    sweep = IncrementalCutSweep(linkage)
-    labels_of: Dict[float, np.ndarray] = {}
-    scores: Dict[float, float] = {}
-    digests = []
-    scored_thresholds = []
-    for threshold in distinct:
-        labels = sweep.labels_at(threshold)
-        labels_of[threshold] = labels
-        unique, compact = np.unique(labels, return_inverse=True)
-        k = unique.size
-        if k < 2 or k >= n:
-            scores[threshold] = -1.0
-            continue
-        counts = np.bincount(compact, minlength=k).astype(np.float64)
-        order = np.argsort(compact, kind="stable")
-        starts = np.zeros(k, dtype=np.intp)
-        starts[1:] = np.cumsum(counts[:-1]).astype(np.intp)
-        digests.append((compact, order, starts, counts))
-        scored_thresholds.append(threshold)
-
-    if digests:
-        cut_operands = CutScoringOperands(
-            pairwise=operands,
-            compacts=tuple(d[0] for d in digests),
-            orders=tuple(d[1] for d in digests),
-            starts=tuple(d[2] for d in digests),
-            counts=tuple(d[3] for d in digests),
-        )
+    schedule = cut_schedule(linkage, distinct)
+    if isinstance(distances, PairwiseOperands):
         the_plan = plan if plan is not None else ExecutionPlan()
-        tiles = the_plan.tiles(n)
-        parts = list(the_plan.stream(cut_silhouette_tile, cut_operands, tiles))
-        samples = np.concatenate(parts, axis=1)
-        for index, threshold in enumerate(scored_thresholds):
-            scores[threshold] = float(samples[index].mean())
+        tiles = the_plan.tiles(linkage.n_leaves)
+        kernel = functools.partial(silhouette_tile, schedule)
+        samples = np.concatenate(
+            list(the_plan.stream(kernel, distances, tiles)), axis=1
+        )
+    else:
+        samples = silhouette_rows(schedule, 0, distances)
+    scores = {t: float(samples[i].mean()) for i, t in enumerate(distinct)}
 
+    # Pick the winner in the caller's candidate order: strict improvement,
+    # so the first of equal scores wins.
     best: Tuple[float, float] = (0.0, -np.inf)
     found = False
     for threshold in candidate_list:
@@ -1121,28 +1095,8 @@ def evaluate_cuts_sparse(
             threshold, linkage.cut(threshold), -1.0, len(candidate_list)
         )
     return CutSelection(
-        best[0], labels_of[best[0]], best[1], len(candidate_list)
+        best[0], linkage.cut(best[0]), best[1], len(candidate_list)
     )
-
-
-def select_cut(
-    linkage: Linkage,
-    distances: np.ndarray,
-    candidates: Optional[Sequence[float]] = None,
-    max_candidates: int = 24,
-    min_cluster_fraction: float = 0.33,
-    max_threshold: float = 0.25,
-) -> Tuple[float, np.ndarray, float]:
-    """Tuple form of :func:`evaluate_cuts`: ``(threshold, labels, score)``."""
-    selection = evaluate_cuts(
-        linkage,
-        distances,
-        candidates=candidates,
-        max_candidates=max_candidates,
-        min_cluster_fraction=min_cluster_fraction,
-        max_threshold=max_threshold,
-    )
-    return selection.threshold, selection.labels, selection.score
 
 
 def cluster_records(
@@ -1159,5 +1113,5 @@ def cluster_records(
     if threshold is not None:
         labels = linkage.cut(threshold)
         return labels, linkage, threshold, average_silhouette(distances, labels)
-    chosen, labels, score = select_cut(linkage, distances)
-    return labels, linkage, chosen, score
+    selection = evaluate_cuts(linkage, distances)
+    return selection.labels, linkage, selection.threshold, selection.score

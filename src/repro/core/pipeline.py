@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 if TYPE_CHECKING:  # crawler / webenv sit above core in the package DAG
     from repro.crawler.harvest import WpnDataset
@@ -43,7 +45,6 @@ from repro.core.clustering import (
     CutSelection,
     Linkage,
     evaluate_cuts,
-    evaluate_cuts_sparse,
 )
 from repro.core.distance import (
     BLOCKINGS,
@@ -55,12 +56,16 @@ from repro.core.features import WpnFeatures, extract_all
 from repro.core.labeling import LabelingResult, label_malicious_clusters
 from repro.core.metacluster import MetaCluster, build_meta_clusters, meta_of_cluster
 from repro.core.records import WpnRecord
-from repro.core.silhouette import average_silhouette
 from repro.core.suspicious import SuspicionResult, find_suspicious
 from repro.core.textsim import SoftCosineModel
 from repro.core.verification import ManualVerificationOracle
 from repro.obs import Tracer
-from repro.perf import DEFAULT_SPARSE_BOUND, DEFAULT_TILE_SIZE, ExecutionPlan
+from repro.perf import (
+    DEFAULT_SPARSE_BOUND,
+    DEFAULT_TILE_SIZE,
+    ExecutionPlan,
+    PairwiseOperands,
+)
 
 
 @dataclass
@@ -544,38 +549,31 @@ class PushAdMiner:
     ) -> CutSelection:
         """Silhouette-selected (or configured fixed) dendrogram cut.
 
-        Candidates are scored by one ascending incremental sweep over the
-        merge heights (labels maintained in place, silhouette row-sums via
-        ``np.add.reduceat``) instead of rebuilding the labeling per cut.
+        One ascending sweep scores every candidate threshold (a fixed
+        ``cut_threshold`` is the only candidate).  Dense storage hands the
+        sweep the square matrix as one block of rows; blocked storage
+        never densifies — the sweep streams row tiles recomputed from the
+        retained kernel operands, with every threshold certified against
+        the linkage's exactness floor.
         """
         with self.tracer.span("pipeline.cut") as span:
             cfg = self.config
-            fixed = cfg.cut_threshold
             if distances.storage == "sparse":
-                # Never densify: score candidates tile by tile from the
-                # retained kernel operands (bitwise the dense silhouette),
-                # with every threshold certified against the linkage's
-                # exactness floor.
                 assert distances.operands is not None
-                plan = ExecutionPlan(
-                    workers=cfg.workers, tile_size=cfg.tile_size
-                )
-                selection = evaluate_cuts_sparse(
-                    linkage,
-                    distances.operands,
-                    plan=plan,
-                    candidates=[fixed] if fixed is not None else None,
-                )
-                span.gauge("matrix_bytes", distances.component_bytes)
+                rows: Union[np.ndarray, PairwiseOperands] = distances.operands
+                matrix_bytes = distances.component_bytes
             else:
-                total = distances.total_square()
-                if fixed is not None:
-                    labels = linkage.cut(fixed)
-                    score = average_silhouette(total, labels)
-                    selection = CutSelection(fixed, labels, score, 1)
-                else:
-                    selection = evaluate_cuts(linkage, total)
-                span.gauge("matrix_bytes", int(total.nbytes))
+                rows = distances.total_square()
+                matrix_bytes = int(rows.nbytes)
+            selection = evaluate_cuts(
+                linkage,
+                rows,
+                plan=ExecutionPlan(workers=cfg.workers, tile_size=cfg.tile_size),
+                candidates=(
+                    None if cfg.cut_threshold is None else [cfg.cut_threshold]
+                ),
+            )
+            span.gauge("matrix_bytes", matrix_bytes)
             span.gauge("candidates_evaluated", selection.n_candidates)
             span.gauge("threshold", selection.threshold)
             span.gauge("silhouette", selection.score)

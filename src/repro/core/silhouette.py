@@ -1,12 +1,15 @@
-"""Average silhouette score over a precomputed distance matrix.
+"""Average silhouette of a given labeling over a distance matrix.
 
-Used to select the dendrogram cut (paper section 5.1.1). The production
-path computes per-point cluster distance sums with a label-sorted column
-permutation and one :func:`np.add.reduceat` pass — O(n^2) total instead
-of the O(n^2 * k) dense indicator matmul, which matters because the cut
-sweep scores many candidate labelings with k in the hundreds. The matmul
-formulation is kept as :func:`silhouette_samples_reference`, the oracle
-the equivalence tests check against.
+The paper picks its dendrogram cut by average silhouette (section
+5.1.1).  Cut selection scores its candidates with the incremental sweep
+in :mod:`repro.core.clustering` (:func:`~repro.core.clustering.cut_schedule`
+plus :func:`~repro.core.clustering.silhouette_rows`); this module scores
+one arbitrary labeling, for ``cluster_records(threshold=...)`` and as the
+sweep's test oracle.  It computes per-point cluster distance sums with a
+label-sorted column permutation and one :func:`np.add.reduceat` pass —
+O(n^2) total instead of the O(n^2 * k) dense indicator matmul.  The
+matmul formulation is kept as :func:`silhouette_samples_reference`, the
+oracle the equivalence tests check against.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ half: a full from-scratch re-mine of the union corpus (text model refit
 included) that resets the base state.  ``tests/incremental`` enforces
 that absorb-then-compact output is **bit-identical** to
 ``PushAdMiner.run`` over the same union — the same discipline as the
-incremental cut sweep vs. ``Linkage.cut``.
+blocked cut sweep vs. the dense one.
 """
 
 from __future__ import annotations

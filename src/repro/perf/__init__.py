@@ -15,9 +15,7 @@ O(n^2) stages on:
   (i, j) order with a provable no-missed-pair bound (certified screens
   guarantee total >= the blocking bound for every absent pair), plus
   :class:`SparsePairwise` candidate-sparse storage whose stored entries
-  are bitwise equal to the dense kernels', and a streaming cut-scoring
-  kernel that reproduces the dense silhouette bit for bit in
-  O(tile * n) memory;
+  are bitwise equal to the dense kernels';
 * :mod:`repro.perf.delta` — nearest-corpus-row search, the one
   implementation of nearest-campaign assignment behind serving and
   incremental mining: a dense query-vs-corpus argmin, or a
@@ -32,12 +30,10 @@ from repro.perf.blocking import (
     DEFAULT_SPARSE_BOUND,
     BlockingExactnessError,
     BlockingStats,
-    CutScoringOperands,
     SparsePairwise,
     candidate_distance_tile,
     candidate_pairs_tile,
     component_labels,
-    cut_silhouette_tile,
     prune_cross_component,
 )
 from repro.perf.delta import (
@@ -63,7 +59,6 @@ __all__ = [
     "DEFAULT_TILE_SIZE",
     "BlockingExactnessError",
     "BlockingStats",
-    "CutScoringOperands",
     "ExecutionPlan",
     "PairwiseOperands",
     "QueryNearest",
@@ -74,7 +69,6 @@ __all__ = [
     "candidate_pairs_tile",
     "combined_distance_tile",
     "component_labels",
-    "cut_silhouette_tile",
     "jaccard_distance_tile",
     "nearest_corpus_rows",
     "prune_cross_component",

@@ -60,7 +60,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from repro.perf.kernels import PairwiseOperands, combined_distance_tile
+from repro.perf.kernels import PairwiseOperands
 from repro.perf.plan import Tile
 
 #: Certification bound of the pipeline's sparse path.  Every absent pair
@@ -440,68 +440,3 @@ def prune_cross_component(
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return keep, indptr
-
-
-@dataclass(frozen=True)
-class CutScoringOperands:
-    """Inputs of the streaming cut-silhouette kernel.
-
-    One candidate labeling per entry of the tuples, each pre-digested
-    exactly as :func:`repro.core.silhouette.silhouette_samples` digests
-    labels: ``compact`` (labels remapped to 0..k-1 via ``np.unique``),
-    ``order`` (stable argsort of ``compact`` — the cluster-contiguous
-    column permutation), ``starts`` (each cluster's first position in
-    that order), and ``counts`` (cluster sizes, float64).
-
-    Plain arrays only: the payload crosses process boundaries under the
-    parallel execution plan.
-    """
-
-    pairwise: PairwiseOperands
-    compacts: Tuple[np.ndarray, ...]
-    orders: Tuple[np.ndarray, ...]
-    starts: Tuple[np.ndarray, ...]
-    counts: Tuple[np.ndarray, ...]
-
-
-def cut_silhouette_tile(
-    operands: CutScoringOperands, tile: Tile
-) -> np.ndarray:
-    """Per-point silhouette values for every candidate cut, one row tile.
-
-    Recomputes the tile's combined-distance rows from the pairwise
-    operands — bitwise equal to the dense matrices' rows — and applies,
-    per candidate labeling, the identical permute / ``np.add.reduceat`` /
-    reduction sequence :func:`repro.core.silhouette.silhouette_samples`
-    runs on the full matrix.  Stacking the tiles therefore reproduces the
-    dense per-sample silhouette arrays bit for bit, with peak memory
-    O(tile.size * n) instead of O(n^2).
-
-    Returns an array of shape ``(n_candidates, tile.size)``.
-    """
-    text_rows, url_rows = combined_distance_tile(operands.pairwise, tile)
-    total = (text_rows + url_rows) / 2.0
-    local = np.arange(tile.size)
-    out = np.empty((len(operands.compacts), tile.size), dtype=np.float64)
-    for c, (compact, order, starts, counts) in enumerate(
-        zip(
-            operands.compacts, operands.orders,
-            operands.starts, operands.counts,
-        )
-    ):
-        sums = np.add.reduceat(
-            total[:, order], starts, axis=1, dtype=np.float64
-        )
-        own = compact[tile.start:tile.stop]
-        own_counts = counts[own]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = sums[local, own] / np.maximum(own_counts - 1.0, 1.0)
-            mean_to = sums / np.maximum(counts[None, :], 1.0)
-        mean_to[local, own] = np.inf
-        b = mean_to.min(axis=1)
-        denom = np.maximum(a, b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(denom > 0, (b - a) / np.maximum(denom, 1e-12), 0.0)
-        s[own_counts == 1] = 0.0  # singleton convention
-        out[c] = s
-    return out

@@ -33,7 +33,8 @@ class CodeSearchEngine:
     def search(self, keyword: str, https_only: bool = True) -> List[Url]:
         """URLs of indexed pages whose source contains ``keyword``.
 
-        Results are deterministic (sorted by URL string).
+        Results are deterministic (sorted by URL string) and are the
+        indexed sites' own ``url`` objects.
         """
         if not keyword:
             raise ValueError("empty search keyword")
@@ -43,7 +44,7 @@ class CodeSearchEngine:
                 if https_only and not site.url.is_secure:
                     continue
                 hits.append(url_text)
-        return [Url.parse(u) for u in sorted(hits)]
+        return [self._pages[u].url for u in sorted(hits)]
 
     def search_all(self, keywords: Iterable[str]) -> Dict[str, List[Url]]:
         """Keyword -> result URLs for each keyword."""

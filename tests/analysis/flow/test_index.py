@@ -65,15 +65,16 @@ class TestRealTreeResolution:
         }
 
     def test_sparse_cut_sweep_ship_site_is_found(self, src_index):
-        # The streaming cut sweep ships the silhouette kernel through a
-        # var-typed ExecutionPlan — the index must still see the ship.
+        # The cut sweep ships its row-tile kernel, bound to the schedule
+        # by functools.partial, through a var-typed ExecutionPlan — the
+        # index must still see the ship.
         ships = [
             s
             for s in src_index.shipped_callables()
-            if s.shipper == ("repro.core.clustering", "evaluate_cuts_sparse")
+            if s.shipper == ("repro.core.clustering", "evaluate_cuts")
         ]
         assert [s.target for s in ships] == [
-            ("repro.perf.blocking", "cut_silhouette_tile")
+            ("repro.core.clustering", "silhouette_tile")
         ]
 
     def test_unresolved_externals_produce_no_edges(self, src_index):

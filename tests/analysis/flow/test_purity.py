@@ -1,7 +1,7 @@
 """The parallel-purity pass on the synthetic fixture corpus.
 
-Plus one real-tree regression: the sharded blocking kernels
-(``candidate_distance_tile``, ``cut_silhouette_tile``) must stay
+Plus one real-tree regression: the sharded kernels
+(``candidate_distance_tile``, ``silhouette_tile``) must stay
 parallel-pure — they fan out over process pools, so any module-state
 write would silently break worker-count byte-identity.
 """
@@ -162,7 +162,7 @@ class TestRealTreeBlockingKernels:
             ff.finding
             for ff in purity
             if "candidate_distance_tile" in ff.finding.message
-            or "cut_silhouette_tile" in ff.finding.message
+            or "silhouette_tile" in ff.finding.message
         ]
         assert offenders == [], [str(f) for f in offenders]
 

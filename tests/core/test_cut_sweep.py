@@ -1,4 +1,6 @@
-"""Incremental cut sweeps against the rebuild-from-scratch oracles."""
+"""The incremental silhouette sweep against the rebuild-from-scratch oracles."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -6,11 +8,14 @@ import pytest
 from repro.core.clustering import (
     AgglomerativeClusterer,
     CutSelection,
-    IncrementalCutSweep,
-    IncrementalSilhouetteSweep,
+    cut_schedule,
     evaluate_cuts,
+    silhouette_rows,
+    silhouette_tile,
 )
+from repro.core.distance import compute_distances
 from repro.core.silhouette import average_silhouette
+from repro.perf import ExecutionPlan
 
 
 def random_linkage(rng, n):
@@ -34,29 +39,10 @@ def evaluate_cuts_oracle(linkage, distances, candidates):
     return best
 
 
-class TestIncrementalCutSweep:
-    def test_labels_match_cut_exactly(self):
-        rng = np.random.default_rng(21)
-        for trial in range(5):
-            linkage, _ = random_linkage(rng, int(rng.integers(5, 40)))
-            heights = linkage.heights()
-            thresholds = sorted(
-                float(t)
-                for t in rng.choice(heights, size=min(6, heights.size))
-            ) + [float(heights.max()) + 0.1]
-            sweep = IncrementalCutSweep(linkage)
-            for t in thresholds:
-                np.testing.assert_array_equal(
-                    sweep.labels_at(t), linkage.cut(t)
-                )
-
-    def test_rejects_decreasing_thresholds(self):
-        rng = np.random.default_rng(1)
-        linkage, _ = random_linkage(rng, 10)
-        sweep = IncrementalCutSweep(linkage)
-        sweep.labels_at(0.5)
-        with pytest.raises(ValueError):
-            sweep.labels_at(0.4)
+def sweep_scores(linkage, distances, thresholds):
+    """Average silhouette per threshold: one schedule, one row block."""
+    schedule = cut_schedule(linkage, thresholds)
+    return [float(row.mean()) for row in silhouette_rows(schedule, 0, distances)]
 
 
 class TestIncrementalSilhouetteSweep:
@@ -68,32 +54,72 @@ class TestIncrementalSilhouetteSweep:
             heights = linkage.heights()
             quantiles = np.linspace(0.05, 0.95, 9)
             thresholds = sorted(set(float(np.quantile(heights, q)) for q in quantiles))
-            sweep = IncrementalSilhouetteSweep(linkage, dist)
-            for t in thresholds:
+            scores = sweep_scores(linkage, dist, thresholds)
+            for t, got in zip(thresholds, scores):
                 expected = average_silhouette(dist, linkage.cut(t))
-                got = sweep.score_at(t)
                 assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     def test_degenerate_cuts_score_minus_one(self):
         rng = np.random.default_rng(2)
         linkage, dist = random_linkage(rng, 12)
-        sweep = IncrementalSilhouetteSweep(linkage, dist)
-        assert sweep.score_at(-1.0) == -1.0  # every point its own cluster
-        assert sweep.score_at(2.0) == -1.0  # everything merged
+        # Every point its own cluster, then everything merged.
+        assert sweep_scores(linkage, dist, [-1.0, 2.0]) == [-1.0, -1.0]
 
     def test_rejects_decreasing_thresholds(self):
         rng = np.random.default_rng(5)
-        linkage, dist = random_linkage(rng, 10)
-        sweep = IncrementalSilhouetteSweep(linkage, dist)
-        sweep.score_at(0.6)
-        with pytest.raises(ValueError):
-            sweep.score_at(0.1)
+        linkage, _ = random_linkage(rng, 10)
+        for thresholds in ([0.6, 0.1], [0.3, 0.3]):
+            with pytest.raises(ValueError, match="ascending"):
+                cut_schedule(linkage, thresholds)
 
     def test_shape_mismatch_raises(self):
         rng = np.random.default_rng(6)
         linkage, dist = random_linkage(rng, 10)
+        schedule = cut_schedule(linkage, [0.5])
         with pytest.raises(ValueError):
-            IncrementalSilhouetteSweep(linkage, dist[:8, :8])
+            silhouette_rows(schedule, 0, dist[:8, :8])
+        with pytest.raises(ValueError):
+            silhouette_rows(schedule, 4, dist[:8])  # rows 4..12 of 10
+        with pytest.raises(ValueError):
+            evaluate_cuts(linkage, dist[:8, :8])
+
+
+class TestRowTiling:
+    """Streamed blocked rows score bit for bit like one dense block."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, small_dataset):
+        records = small_dataset.valid_records[:120]
+        dense = compute_distances(records)
+        sparse = compute_distances(records, storage="sparse", blocking="url")
+        linkage = AgglomerativeClusterer().fit(dense.total)
+        return dense, sparse, linkage
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("tile_size", [1, 7, 64])
+    def test_streamed_tiles_match_one_block(self, corpus, tile_size, workers):
+        dense, sparse, linkage = corpus
+        heights = linkage.heights()
+        thresholds = sorted(
+            set(float(np.quantile(heights, q)) for q in (0.1, 0.4, 0.7))
+        )
+        schedule = cut_schedule(linkage, thresholds)
+        one_block = silhouette_rows(schedule, 0, dense.total)
+        plan = ExecutionPlan(workers=workers, tile_size=tile_size)
+        kernel = functools.partial(silhouette_tile, schedule)
+        tiles = plan.tiles(sparse.size)
+        streamed = np.concatenate(
+            list(plan.stream(kernel, sparse.operands, tiles)), axis=1
+        )
+        assert streamed.tobytes() == one_block.tobytes()
+
+        want = evaluate_cuts(linkage, dense.total, candidates=thresholds)
+        got = evaluate_cuts(
+            linkage, sparse.operands, plan=plan, candidates=thresholds
+        )
+        assert got.threshold == want.threshold
+        assert got.score == want.score
+        np.testing.assert_array_equal(got.labels, want.labels)
 
 
 class TestEvaluateCuts:

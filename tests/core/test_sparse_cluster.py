@@ -16,7 +16,6 @@ from repro.core.clustering import (
     Linkage,
     Merge,
     evaluate_cuts,
-    evaluate_cuts_sparse,
 )
 from repro.core.distance import compute_distances
 from repro.core.silhouette import average_silhouette
@@ -93,15 +92,15 @@ class TestEvaluateCutsSparse:
         self, dense, sparse, dense_linkage, sparse_linkage
     ):
         want = evaluate_cuts(dense_linkage, dense.total)
-        got = evaluate_cuts_sparse(sparse_linkage, sparse.operands)
+        got = evaluate_cuts(sparse_linkage, sparse.operands)
         assert got.threshold == want.threshold
         assert got.score == want.score
         assert got.n_candidates == want.n_candidates
         np.testing.assert_array_equal(got.labels, want.labels)
 
     def test_parallel_plan_is_invisible(self, sparse, sparse_linkage):
-        serial = evaluate_cuts_sparse(sparse_linkage, sparse.operands)
-        parallel = evaluate_cuts_sparse(
+        serial = evaluate_cuts(sparse_linkage, sparse.operands)
+        parallel = evaluate_cuts(
             sparse_linkage,
             sparse.operands,
             plan=ExecutionPlan(workers=2, tile_size=48),
@@ -113,21 +112,28 @@ class TestEvaluateCutsSparse:
     def test_fixed_threshold_matches_dense_average_silhouette(
         self, dense, sparse, dense_linkage, sparse_linkage
     ):
-        selection = evaluate_cuts_sparse(
+        selection = evaluate_cuts(
             sparse_linkage, sparse.operands, candidates=[0.1]
         )
+        want = evaluate_cuts(dense_linkage, dense.total, candidates=[0.1])
+        assert selection.threshold == want.threshold == 0.1
+        assert selection.score == want.score
         labels = dense_linkage.cut(0.1)
         np.testing.assert_array_equal(selection.labels, labels)
-        assert selection.score == average_silhouette(dense.total, labels)
+        # The sweep accumulates means along the merge tree: equal to the
+        # index-order silhouette up to the last ulps.
+        assert selection.score == pytest.approx(
+            average_silhouette(dense.total, labels), rel=1e-12
+        )
         assert selection.n_candidates == 1
 
     def test_fully_exact_linkage_needs_no_certificate(
         self, dense, sparse, dense_linkage
     ):
-        # A dense (fully exact) linkage goes through the sparse scorer
-        # without any certification and must reproduce the dense sweep.
+        # A dense (fully exact) linkage streams blocked rows without any
+        # certification and must reproduce the dense one-block sweep.
         want = evaluate_cuts(dense_linkage, dense.total)
-        got = evaluate_cuts_sparse(dense_linkage, sparse.operands)
+        got = evaluate_cuts(dense_linkage, sparse.operands)
         assert got.threshold == want.threshold
         assert got.score == want.score
         np.testing.assert_array_equal(got.labels, want.labels)
@@ -137,7 +143,7 @@ class TestEvaluateCutsSparse:
     ):
         floor = sparse_linkage.height_floor
         with pytest.raises(BlockingExactnessError, match="undercut"):
-            evaluate_cuts_sparse(
+            evaluate_cuts(
                 sparse_linkage, sparse.operands, candidates=[floor]
             )
 
@@ -167,7 +173,7 @@ class TestCertificationRefusals:
     def test_non_positive_floor_refuses(self, sparse):
         linkage = synthetic_linkage([0.1, 1.0, 1.0], 1, 1e-13)
         with pytest.raises(BlockingExactnessError, match="not positive"):
-            evaluate_cuts_sparse(linkage, sparse.operands)
+            evaluate_cuts(linkage, sparse.operands)
 
     def test_uncertified_quantiles_refuse(self, sparse):
         # Floor 0.2: the dense tail may live anywhere in [0.2, 1.0], so
@@ -176,7 +182,7 @@ class TestCertificationRefusals:
             [0.05, 0.1, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], 2, 0.2
         )
         with pytest.raises(BlockingExactnessError, match="uncertified"):
-            evaluate_cuts_sparse(linkage, sparse.operands)
+            evaluate_cuts(linkage, sparse.operands)
 
     def test_fallback_with_no_exact_merges_refuses(self, sparse):
         # Every candidate lands above max_threshold, so the default path
@@ -184,12 +190,12 @@ class TestCertificationRefusals:
         # certified merges even heights[0] is a placeholder.
         linkage = synthetic_linkage([1.0, 1.0, 1.0], 0, 0.4)
         with pytest.raises(BlockingExactnessError, match="first merge"):
-            evaluate_cuts_sparse(linkage, sparse.operands)
+            evaluate_cuts(linkage, sparse.operands)
 
     def test_explicit_threshold_at_or_above_floor_refuses(self, sparse):
         linkage = synthetic_linkage([0.1, 1.0, 1.0], 1, 0.3)
         for threshold in (0.3, 0.35):
             with pytest.raises(BlockingExactnessError, match="undercut"):
-                evaluate_cuts_sparse(
+                evaluate_cuts(
                     linkage, sparse.operands, candidates=[threshold]
                 )

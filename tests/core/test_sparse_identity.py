@@ -100,13 +100,9 @@ class TestLinkageAndCutIdentity:
     def test_cut_selection_is_dense_bit_for_bit(
         self, dense, sparse, dense_linkage, sparse_linkage
     ):
-        from repro.core.clustering import evaluate_cuts_sparse
-
         want = evaluate_cuts(dense_linkage, dense.total)
         for plan in (None, ExecutionPlan(workers=2, tile_size=96)):
-            got = evaluate_cuts_sparse(
-                sparse_linkage, sparse.operands, plan=plan
-            )
+            got = evaluate_cuts(sparse_linkage, sparse.operands, plan=plan)
             assert got.threshold == want.threshold
             assert got.score == want.score
             assert got.n_candidates == want.n_candidates

@@ -14,16 +14,13 @@ import pytest
 from repro import paper_scenario, run_full_crawl
 from repro.analysis.sanitizer import DetSan
 from repro.core.distance import compute_distances
-from repro.core.silhouette import average_silhouette, silhouette_samples
 from repro.perf import (
     DEFAULT_SPARSE_BOUND,
-    CutScoringOperands,
     ExecutionPlan,
     SparsePairwise,
     candidate_distance_tile,
     candidate_pairs_tile,
     component_labels,
-    cut_silhouette_tile,
     prune_cross_component,
 )
 
@@ -238,38 +235,3 @@ class TestComponentsAndPrune:
             stats.pruning_ratio
             == 1.0 - stats.n_stored_pairs / stats.n_total_pairs
         )
-
-
-class TestCutSilhouetteTile:
-    def _digest(self, labels):
-        unique, compact = np.unique(labels, return_inverse=True)
-        k = unique.size
-        counts = np.bincount(compact, minlength=k).astype(np.float64)
-        order = np.argsort(compact, kind="stable")
-        starts = np.zeros(k, dtype=np.intp)
-        starts[1:] = np.cumsum(counts[:-1]).astype(np.intp)
-        return compact, order, starts, counts
-
-    def test_bitwise_matches_silhouette_samples(self, sparse, dense):
-        from repro.core.clustering import AgglomerativeClusterer
-
-        linkage = AgglomerativeClusterer().fit(dense.total)
-        labelings = [linkage.cut(t) for t in (0.1, 0.2)]
-        digests = [self._digest(labels) for labels in labelings]
-        operands = CutScoringOperands(
-            pairwise=sparse.operands,
-            compacts=tuple(d[0] for d in digests),
-            orders=tuple(d[1] for d in digests),
-            starts=tuple(d[2] for d in digests),
-            counts=tuple(d[3] for d in digests),
-        )
-        for plan in (ExecutionPlan(tile_size=48), ExecutionPlan(tile_size=23)):
-            tiles = plan.tiles(sparse.size)
-            parts = list(plan.stream(cut_silhouette_tile, operands, tiles))
-            samples = np.concatenate(parts, axis=1)
-            for index, labels in enumerate(labelings):
-                reference = silhouette_samples(dense.total, labels)
-                assert samples[index].tobytes() == reference.tobytes()
-                assert float(samples[index].mean()) == average_silhouette(
-                    dense.total, labels
-                )

@@ -106,6 +106,19 @@ class TestCodeSearchEngine:
         hosts = [u.host for u in engine.search("tok")]
         assert hosts == sorted(hosts)
 
+    def test_results_are_indexed_site_urls(self):
+        engine = CodeSearchEngine()
+        sites = [
+            make_site(host=host, url=Url(host=host), page_source="tok")
+            for host in ("www.z.com", "www.b.com")
+        ]
+        engine.index_many(sites)
+        hits = engine.search("tok")
+        assert hits == [sites[1].url, sites[0].url]
+        assert all(
+            any(hit is site.url for site in sites) for hit in hits
+        )
+
     def test_distinct_urls_union(self):
         engine = CodeSearchEngine()
         engine.index(make_site(page_source="both one two"))
